@@ -3,7 +3,11 @@
 Verbs: iwasawa, cartan, bruhat, bch, jm-triple, kostant-check, roots.
 Every decomposition is re-multiplied and checked against the input before
 anything is printed (self-certifying output).  Exit codes: 0 success,
-1 parse error, 2 domain error, 3 indeterminate truncation.
+1 parse error, 2 domain error, 3 indeterminate truncation, 4 internal error
+(a result failed its own check, or another RcgError such as
+NoRelatingElement or PrecisionExhausted).
+
+    python -m rcg.cli cartan g.mat
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from . import puiseux as puiseux_mod
 from .decomp import bruhat, cartan_kak, iwasawa_kau, iwasawa_uak
-from .errors import DomainError, IndeterminateSign, ParseError, RcgError
+from .errors import DomainError, IndeterminateSign, InternalError, ParseError, RcgError
 from .kostant import ChamberPoint, char_value, kostant_chars, kostant_member
 from .linalg import Matrix
 from .nilpotent import bch, jacobson_morozov
@@ -28,13 +32,12 @@ F = Fraction
 
 
 class Config:
-    def __init__(self, field: str, trunc: Fraction, fmt: str, seed: int):
+    def __init__(self, field: str, trunc: Fraction, fmt: str):
         if trunc <= 0:
             raise DomainError("truncation order must be positive")
         self.field = field
         self.trunc = trunc
         self.format = fmt
-        self.seed = seed
 
 
 def _matrix_block(m: Matrix):
@@ -72,7 +75,7 @@ def _certify_equal(actual: Matrix, expected: Matrix) -> None:
             except IndeterminateSign:
                 ok = not entry.terms  # truncated but all known terms vanish
             if not ok:
-                raise RcgError("internal error: reconstruction failed")
+                raise InternalError("reconstruction failed")
 
 
 def _cmd_iwasawa(args, config: Config, out) -> None:
@@ -196,7 +199,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="relative truncation order for Puiseux operations (rational)",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n", type=int, default=None, help="expected matrix size")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -246,7 +248,7 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
         if trunc_text is None:
             trunc_text = os.environ.get("RCG_TRUNC", "8")
         trunc = F(trunc_text)
-        config = Config(args.field, trunc, args.format, args.seed)
+        config = Config(args.field, trunc, args.format)
         puiseux_mod.DEFAULT_REL_ORDER = trunc
         _COMMANDS[args.command](args, config, out)
         return 0
@@ -268,9 +270,16 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
     except OSError as exc:
         print(f"parse error: {exc}", file=err)
         return 1
+    except RcgError as exc:
+        print(f"internal error: {exc}", file=err)
+        return 4
     finally:
         puiseux_mod.DEFAULT_REL_ORDER = F(8)
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndeterminateSign, NoRelatingElement
+from .errors import DomainError, IndeterminateSign, InternalError, NoRelatingElement
 from .linalg import (
     Matrix,
     PUISEUX,
+    _dot,
     det,
     rank,
     sym_eigen_lift,
@@ -83,6 +84,12 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
     The orthogonalisation itself is division-only (no radicals), so u is
     exact over the base field; the radicals enter only through the column
     norms, which populate a and k.
+
+    a and u are checked like any new element.  Over the tower, k = qhat
+    diag(1/r_j) is certified column by column instead: det(k) =
+    det(qhat) * prod(1/r_j) must be exactly 1, and qhat, the Gram-Schmidt
+    matrix, stays in g's own tower, where its determinant is cheap; the
+    determinant of k itself would mix one radical per column.
     """
     dom = g.mat.domain
     n = g.n
@@ -94,11 +101,11 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
     for j in range(n):
         v = list(cols[j])
         for i in range(j):
-            c = _dot(dom, qhat[i], cols[j]) * inv_norm2[i]
+            c = _dot(qhat[i], cols[j], dom) * inv_norm2[i]
             u_rows[i][j] = c
             v = [a - c * b for a, b in zip(v, qhat[i])]
         qhat.append(tuple(v))
-        n2 = _dot(dom, v, v)
+        n2 = _dot(v, v, dom)
         norm2.append(n2)
         inv_norm2.append(dom.invert(n2))
     r_diag = [dom.sqrt_positive(n2) for n2 in norm2]
@@ -109,14 +116,16 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
     )
     a_mat = Matrix(dom, [[r_diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
     u_mat = Matrix(dom, u_rows)
-    return KAUResult(_group(k_mat), _group(a_mat), _group(u_mat))
-
-
-def _dot(dom, u, v):
-    acc = dom.zero
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    if dom is PUISEUX:
+        k = _group(k_mat)
+    else:
+        d = det(Matrix(dom, list(zip(*qhat))))
+        for x in inv_r:
+            d = d * x
+        if not dom.is_zero(d - dom.one):
+            raise DomainError(f"determinant of k is {d}, not 1")
+        k = GroupElement._unchecked(k_mat)
+    return KAUResult(k, _group(a_mat), _group(u_mat))
 
 
 def _flip(m: Matrix) -> Matrix:
@@ -133,13 +142,14 @@ def iwasawa_uak(g: GroupElement) -> UAKResult:
 
     Bridge: if J g^T J = k0 a0 u0 then g = (J u0^T J)(J a0 J)(J k0^T J),
     and the three factors are again upper unitriangular, positive diagonal
-    and special orthogonal respectively.
+    and special orthogonal respectively.  Transposing and flipping keep the
+    determinant, so none of the four is checked again.
     """
-    flipped = _group(_flip(g.mat.transpose()))
-    kau = iwasawa_kau(flipped)
-    u = _group(_flip(kau.u.mat.transpose()))
-    a = _group(_flip(kau.a.mat))
-    k = _group(_flip(kau.k.mat.transpose()))
+    same_det = GroupElement._unchecked
+    kau = iwasawa_kau(same_det(_flip(g.mat.transpose())))
+    u = same_det(_flip(kau.u.mat.transpose()))
+    a = same_det(_flip(kau.a.mat))
+    k = same_det(_flip(kau.k.mat.transpose()))
     return UAKResult(u, a, k)
 
 
@@ -180,7 +190,7 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     k1 = Matrix(
         dom,
         [
-            [_dot(dom, g.mat.row(i), vmat.col(j)) * inv_a[j] for j in range(n)]
+            [_dot(g.mat.row(i), vmat.col(j), dom) * inv_a[j] for j in range(n)]
             for i in range(n)
         ],
     )
@@ -261,9 +271,8 @@ def bruhat(g: GroupElement) -> BruhatResult:
     b2 = Matrix(dom, [[d_diag[i] * rinv[i][j] for j in range(n)] for i in range(n)])
     w = Matrix(dom, w_rows)
     res = BruhatResult(_group(b1), _group(w), _group(b2))
-    assert bruhat_permutation(g) == {
-        col: row for col, row in pivot_row_of.items()
-    }, "rank-matrix invariant disagrees with elimination"
+    if bruhat_permutation(g) != pivot_row_of:
+        raise InternalError("rank-matrix invariant disagrees with elimination")
     return res
 
 

@@ -2,7 +2,8 @@
 
 Every failure mode of the library maps to one of these classes.  The CLI
 translates them to exit codes: ParseError -> 1, DomainError (and subclasses)
--> 2, IndeterminateSign -> 3.
+-> 2, IndeterminateSign -> 3, and every other RcgError (InternalError,
+NoRelatingElement, PrecisionExhausted) -> 4.
 """
 
 
@@ -82,6 +83,11 @@ class NotInImage(DomainError):
 
 class UnsupportedType(DomainError):
     pass
+
+
+class InternalError(RcgError):
+    """An internal invariant broke: a result failed its own cross-check.
+    This indicates a bug, not bad input."""
 
 
 class NoRelatingElement(RcgError):

@@ -4,7 +4,7 @@ The production route is the character-inequality test: a lies in the
 A-component image of the K-orbit of b iff chi_j(a) <= chi_j(b) for the
 partial-product characters chi_j(a) = a_1 ... a_j.  Those characters are
 derived (not hardcoded) from the cone data of the A_{n-1} root system; the
-derivation is asserted on every call.
+derivation is checked on every call.
 
 The independent test-time route is a convex-hull oracle over certified
 rational logarithms: log a must lie in the convex hull of the Weyl orbit of
@@ -23,7 +23,7 @@ from itertools import permutations
 from math import gcd
 
 from .decomp import a_component
-from .errors import DomainError, PrecisionExhausted
+from .errors import DomainError, InternalError, PrecisionExhausted
 from .linalg import Matrix
 from .rootsys import build, cone_data
 from .slgroup import GroupElement, member_A
@@ -96,7 +96,7 @@ def kostant_chars(n: int):
     """Exponent vectors of the convexity characters of SL_n, derived from
     the A_{n-1} cone data: gamma_j converted to diagonal coordinates,
     shifted modulo the determinant-one relation and made primitive.  The
-    expected partial-product shape is asserted, never assumed."""
+    expected partial-product shape is checked, never assumed."""
     if n < 2:
         raise DomainError("kostant_chars needs n >= 2")
     if n in _CHARS_CACHE:
@@ -115,9 +115,8 @@ def kostant_chars(n: int):
         for x in vec:
             g = gcd(g, x)
         vec = [x // g for x in vec]
-        assert vec == [1] * (j + 1) + [0] * (n - j - 1), (
-            "cone data does not reduce to partial products"
-        )
+        if vec != [1] * (j + 1) + [0] * (n - j - 1):
+            raise InternalError("cone data does not reduce to partial products")
         chars.append(tuple(vec))
     _CHARS_CACHE[n] = chars
     return chars
@@ -228,7 +227,7 @@ def _decide_2d(y, pts, margin2):
     return None
 
 
-def hull_oracle(a: ChamberPoint, b: ChamberPoint, seed_unused=None) -> bool:
+def hull_oracle(a: ChamberPoint, b: ChamberPoint) -> bool:
     """Decide log(a) in conv(W_s log(b)) for rational chamber points of
     SL_n, n <= 3, by enumerating the Weyl orbit and running the exact
     midpoint geometry on certified logarithm intervals.  This is the test
@@ -295,8 +294,8 @@ class OrbitSampleReport:
 
 def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSampleReport:
     """Sample K-orbit points k*b with exact rational rotations, project
-    their Iwasawa A-components to the chamber and assert the character
-    inequalities every time.  A single violation is an assertion failure
+    their Iwasawa A-components to the chamber and check the character
+    inequalities every time.  A single violation raises InternalError
     (this is the falsifiable face of the convexity statement)."""
     rng = random.Random(seed)
     n = b.n
@@ -310,7 +309,8 @@ def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSamp
             t = F(rng.randint(-9, 9), rng.randint(1, 9))
             k = k * _rotation(n, i, j, t)
         proj = chamber_projection(a_component(k * b.element))
-        assert kostant_member(proj, b), "convexity violation"
+        if not kostant_member(proj, b):
+            raise InternalError("convexity violation")
         slack = None
         for vec in chars:
             diff = char_value(vec, b) - char_value(vec, proj)

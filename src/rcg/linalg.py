@@ -165,9 +165,6 @@ class Matrix:
             t = t + self.data[i][i]
         return t
 
-    def map(self, f) -> "Matrix":
-        return Matrix(self.domain, [[f(x) for x in row] for row in self.data])
-
     def submatrix(self, drop_row: int, drop_col: int) -> "Matrix":
         return Matrix(
             self.domain,
@@ -213,9 +210,6 @@ class Matrix:
     def __rmul__(self, other):
         s = self.domain.coerce(other)
         return Matrix(self.domain, [[s * a for a in r] for r in self.data])
-
-    def scale(self, s) -> "Matrix":
-        return self * s
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -308,14 +302,30 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix):
-    """Determinant by cofactor expansion: exact, division-free, and safe on
-    truncated entries (tails propagate instead of blocking a pivot)."""
+    """Determinant, exact, with one strategy per field.
+
+    Up to 3x3 the cofactor closed forms run over both fields: they are
+    division-free and beat elimination on small matrices whose entries lie
+    in different towers.  From 4x4 on, a tower matrix is reduced by
+    Gaussian elimination (_eliminate), polynomial in n.  A Puiseux matrix
+    always takes the cofactor expansion, at any size: it never divides and
+    never tests a truncated entry for zero, so tails propagate into the
+    result instead of blocking a pivot."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    return _det_rows(m.data, m.domain)
+    if m.domain is not TOWER or m.nrows <= 3:
+        return _det_rows(m.data, m.domain)
+    rows, pivots, det_sign, _ = _eliminate(m)
+    if len(pivots) < m.nrows:
+        return m.domain.zero
+    out = rows[0][0]
+    for i in range(1, m.nrows):
+        out = out * rows[i][i]
+    return out if det_sign > 0 else -out
 
 
 def _det_rows(rows, domain):
+    """Determinant by cofactor expansion along the first row."""
     n = len(rows)
     if n == 1:
         return rows[0][0]

@@ -15,6 +15,7 @@ from math import factorial
 
 from .errors import (
     DomainError,
+    InternalError,
     NotInImage,
     NotInUTheta,
     NotNilpotent,
@@ -22,7 +23,7 @@ from .errors import (
     ZeroInput,
     ZeroParameter,
 )
-from .linalg import Matrix, commutator, inverse, kernel, rank
+from .linalg import Matrix, _dot, commutator, inverse, kernel, rank
 from .slgroup import (
     GroupElement,
     RootIndex,
@@ -257,7 +258,8 @@ def u_theta_factorize(u: GroupElement, theta_set: ThetaSet) -> list:
         comp = _root_component(log_unipotent(residual), alpha)
         factors.append((alpha, comp))
         residual = residual * exp_nilpotent(-comp)
-    assert _is_zero_matrix(residual.mat - Matrix.identity(n, u.mat.domain))
+    if not _is_zero_matrix(residual.mat - Matrix.identity(n, u.mat.domain)):
+        raise InternalError("U_Theta factors do not multiply back to u")
     return list(reversed(factors))
 
 
@@ -295,7 +297,8 @@ def psi_split(u: GroupElement, theta_set: ThetaSet, psi) -> tuple:
         params[alpha] = params[alpha] + diff.data[alpha.i][alpha.j]
     u1 = build(left_roots)
     u2 = build(right_roots)
-    assert u1 * u2 == u
+    if u1 * u2 != u:
+        raise InternalError("psi_split factors do not multiply back to u")
     return u1, u2
 
 
@@ -311,11 +314,14 @@ class Sl2Triple:
     y: Matrix
 
     def verify(self):
-        two_x = self.x * F(2)
-        two_y = self.y * F(2)
-        assert commutator(self.h, self.x) == two_x
-        assert commutator(self.h, self.y) == -two_y
-        assert commutator(self.x, self.y) == self.h
+        """True, or InternalError naming the first bracket relation that
+        fails (the triples this module builds must satisfy all three)."""
+        if commutator(self.h, self.x) != self.x * F(2):
+            raise InternalError("sl2-triple relation [H, X] = 2X fails")
+        if commutator(self.h, self.y) != -(self.y * F(2)):
+            raise InternalError("sl2-triple relation [H, Y] = -2Y fails")
+        if commutator(self.x, self.y) != self.h:
+            raise InternalError("sl2-triple relation [X, Y] = H fails")
         return True
 
 
@@ -385,16 +391,7 @@ def jacobson_morozov(x: Matrix) -> Sl2Triple:
 
 
 def _apply(x: Matrix, v):
-    return tuple(
-        _dot_row(row, v, x.domain) for row in x.data
-    )
-
-
-def _dot_row(row, v, domain):
-    acc = domain.zero
-    for a, b in zip(row, v):
-        acc = acc + a * b
-    return acc
+    return tuple(_dot(row, v, x.domain) for row in x.data)
 
 
 def jm_basic_triple(alpha: RootIndex, x: Matrix) -> Sl2Triple:
@@ -552,5 +549,6 @@ def rank1_bruhat_certify(g: GroupElement, alpha: RootIndex) -> Rank1Cell:
     cell = Rank1Cell(
         "BmB", emb.group(b1), emb.group(m2), emb.group(b2)
     )
-    assert cell.reconstruct() == g
+    if cell.reconstruct() != g:
+        raise InternalError("rank-1 Bruhat witnesses do not multiply back to g")
     return cell

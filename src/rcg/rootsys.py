@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import UnsupportedType
+from .errors import InternalError, UnsupportedType
 
 F = Fraction
 
@@ -71,13 +71,16 @@ class RootSystem:
 
     def _validate(self):
         roots = set(self.all_roots)
-        assert all(tuple(-x for x in r) in roots for r in roots)
-        assert all(any(r) for r in roots)
+        if not all(tuple(-x for x in r) in roots for r in roots):
+            raise UnsupportedType("root set is not closed under negation")
+        if not all(any(r) for r in roots):
+            raise UnsupportedType("zero vector among the roots")
         for alpha in roots:
             aa = self.inner(alpha, alpha)
             for beta in roots:
                 c = 2 * self.inner(alpha, beta) / aa
-                assert c.denominator == 1, "crystallographic axiom violated"
+                if c.denominator != 1:
+                    raise UnsupportedType("crystallographic axiom violated")
 
     def __repr__(self):
         return f"RootSystem({self.name}, {len(self.all_roots)} roots)"
@@ -221,7 +224,8 @@ def weyl(rs: RootSystem) -> WeylGroup:
     # sanity: every element permutes the root set
     roots = set(rs.all_roots)
     for e in elements:
-        assert {e.apply(r) for r in roots} == roots
+        if {e.apply(r) for r in roots} != roots:
+            raise InternalError("a Weyl group element does not permute the roots")
     return WeylGroup(rs, elements, gens)
 
 
@@ -262,8 +266,10 @@ def cone_data(rs: RootSystem) -> ConeData:
             vec = _primitive_integer_kernel(rows, r)
         if rs.inner(vec, x[j]) < 0:
             vec = tuple(-v for v in vec)
-        assert rs.inner(vec, x[j]) > 0
-        assert all(rs.inner(vec, x[i]) == 0 for i in range(r) if i != j)
+        if rs.inner(vec, x[j]) <= 0 or any(
+            rs.inner(vec, x[i]) != 0 for i in range(r) if i != j
+        ):
+            raise InternalError(f"e_{j + 1} is not a facet normal of the cone")
         es.append(vec)
     gammas = [tuple(v) for v in es]
     return ConeData(rs, x, es, gammas)
@@ -297,7 +303,8 @@ def _primitive_integer_kernel(rows, n):
         piv_cols.append(pc)
         pr += 1
     free = [c for c in range(n) if c not in piv_cols]
-    assert len(free) == 1, "facet normal is not one-dimensional"
+    if len(free) != 1:
+        raise InternalError("facet normal is not one-dimensional")
     fc = free[0]
     v = [F(0)] * n
     v[fc] = F(1)
@@ -336,5 +343,6 @@ def eta_plus_expansion(rs: RootSystem):
     all of them are strictly positive."""
     cd = cone_data(rs)
     coeffs = gamma_coefficients(rs, cd, eta_plus(rs))
-    assert all(c > 0 for c in coeffs)
+    if not all(c > 0 for c in coeffs):
+        raise InternalError("positive-root sum has a non-positive gamma coefficient")
     return coeffs

@@ -1,6 +1,12 @@
 """SL_n over an ordered scalar field: subgroup predicates, the Cartan
 involution, restricted root spaces, the Killing form and torus characters.
 
+Membership in SL_n is checked once, where a matrix enters: GroupElement's
+constructor computes the determinant and rejects anything but 1.  Ring
+operations on elements (products, transposes) cannot change a determinant
+and build their results unchecked; decompositions certify each factor
+they return (see decomp).
+
 The split torus is always the diagonal one.  Subgroups follow the concrete
 descriptions for SL_n: K = SO_n, A = positive diagonal, U = upper
 unitriangular, M = diagonal with +-1 entries, N = signed permutation
@@ -17,14 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, IndeterminateSign
+from .errors import DomainError, IndeterminateSign, InternalError
 from .linalg import Matrix, TOWER, det, inverse
 
 F = Fraction
 
 
 class GroupElement:
-    """An element of SL_n: a square matrix with determinant exactly 1."""
+    """An element of SL_n: a square matrix with determinant exactly 1.
+
+    The constructor checks det = 1 (over the Puiseux field: every known term
+    of det - 1 vanishes), so every matrix that enters SL_n from outside is
+    checked once.  Products and transposes of elements are built unchecked:
+    ring operations cannot move a determinant off 1.  inverse() divides and
+    stays checked."""
 
     __slots__ = ("mat", "n")
 
@@ -43,6 +55,17 @@ class GroupElement:
         self.mat = mat
         self.n = mat.nrows
 
+    @classmethod
+    def _unchecked(cls, mat: Matrix) -> "GroupElement":
+        """An element whose determinant is 1 by construction.  Callers must
+        derive mat from elements by operations that keep the determinant
+        (products, transposes, conjugation by a permutation) or certify
+        det = 1 themselves; the determinant is not computed."""
+        g = object.__new__(cls)
+        g.mat = mat
+        g.n = mat.nrows
+        return g
+
     @staticmethod
     def tower(rows) -> "GroupElement":
         return GroupElement(Matrix.tower(rows))
@@ -56,13 +79,13 @@ class GroupElement:
         return GroupElement(Matrix.identity(n, domain))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.mat * other.mat)
+        return GroupElement._unchecked(self.mat * other.mat)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(inverse(self.mat))
 
     def transpose(self) -> "GroupElement":
-        return GroupElement(self.mat.transpose())
+        return GroupElement._unchecked(self.mat.transpose())
 
     def __getitem__(self, ij):
         return self.mat[ij]
@@ -307,8 +330,9 @@ def chi(alpha: RootIndex, a: GroupElement):
 
 
 def conj_root_vector(a: GroupElement, alpha: RootIndex, x: Matrix) -> Matrix:
-    """a exp(X) a^{-1} for X in the root space of alpha; asserts the closed
-    form exp(chi_alpha(a) X) predicted for torus conjugation."""
+    """a exp(X) a^{-1} for X in the root space of alpha; checks the closed
+    form exp(chi_alpha(a) X) predicted for torus conjugation (InternalError
+    if it fails)."""
     dom = x.domain
     n = x.nrows
     for p in range(n):
@@ -318,7 +342,8 @@ def conj_root_vector(a: GroupElement, alpha: RootIndex, x: Matrix) -> Matrix:
     one = Matrix.identity(n, dom)
     conj = a.mat * (one + x) * inverse(a.mat)
     expected = one + x * chi(alpha, a)
-    assert conj == expected
+    if conj != expected:
+        raise InternalError("torus conjugation disagrees with exp(chi_alpha(a) X)")
     return conj
 
 

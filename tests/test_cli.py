@@ -1,13 +1,21 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rcg
+import rcg.cli
 from rcg.cli import run
-from rcg.errors import ParseError
+from rcg.decomp import BruhatResult
+from rcg.errors import NoRelatingElement, ParseError, PrecisionExhausted
 from rcg.parsing import parse_matrix, parse_scalar, print_matrix
 from rcg.puiseux import PuiseuxScalar
+from rcg.slgroup import GroupElement
 from rcg.tower import TowerScalar, sqrt_positive
 
 F = Fraction
@@ -252,3 +260,40 @@ def test_cli_trunc_env(tmp_path, monkeypatch):
     code = run(["--field", "puiseux", "cartan", str(g)], out=out, err=io.StringIO())
     assert code == 0
     assert "O(X^(" in out.getvalue()
+
+
+def test_cli_internal_error_exit(tmp_path, monkeypatch):
+    """A result that does not multiply back to the input is a bug: exit 4
+    with a message, not a traceback and not a domain error."""
+    one = GroupElement.identity(2)
+    monkeypatch.setattr(rcg.cli, "bruhat", lambda g: BruhatResult(one, one, one))
+    code, out, err = run_cli(["bruhat"], files={"g.mat": "1, 1; 0, 1"}, tmp_path=tmp_path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: reconstruction failed")
+
+
+@pytest.mark.parametrize("error", [NoRelatingElement, PrecisionExhausted])
+def test_cli_other_rcg_errors_exit_4(tmp_path, monkeypatch, error):
+    def fail(g, order=None):
+        raise error("boom")
+
+    monkeypatch.setattr(rcg.cli, "cartan_kak", fail)
+    code, out, err = run_cli(["cartan"], files={"g.mat": "1, 1; 0, 1"}, tmp_path=tmp_path)
+    assert code == 4
+    assert "boom" in err and "Traceback" not in err
+
+
+def test_python_m_rcg_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(rcg.__file__).resolve().parent.parent))
+    good, bad = tmp_path / "g.mat", tmp_path / "h.mat"
+    good.write_text("1, 1; 0, 1")
+    bad.write_text("2, 0; 0, 1")
+    ok = subprocess.run([sys.executable, "-m", "rcg.cli", "cartan", str(good)],
+                        capture_output=True, text=True, env=env, timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    assert "1/2 + 1/2*sqrt(5)" in ok.stdout
+    refused = subprocess.run([sys.executable, "-m", "rcg.cli", "cartan", str(bad)],
+                             capture_output=True, text=True, env=env, timeout=120)
+    assert refused.returncode == 2
+    assert "determinant is 2" in refused.stderr
