@@ -1,11 +1,16 @@
 """Command-line front end.
 
 Verbs: iwasawa, cartan, bruhat, bch, jm-triple, kostant-check, roots.
-Every decomposition is re-multiplied and checked against the input before
-anything is printed (self-certifying output).  Exit codes: 0 success,
-1 parse error, 2 domain error, 3 indeterminate truncation, 4 internal error
-(a result failed its own check, or another RcgError such as
-NoRelatingElement or PrecisionExhausted).
+The three decomposition verbs share one command: it loads g, decomposes
+it, and prints the factors in product order only after res.certify(g) has
+re-multiplied them and checked them against the input (self-certifying
+output).  --trunc (else RCG_TRUNC, else puiseux.DEFAULT_REL_ORDER) is read
+once, and the default order is restored when the run ends.  Exit codes:
+0 success, 1 parse error (also a --trunc that is not a rational number or
+an input file that is not UTF-8), 2 domain error (also a shape mismatch, a
+--trunc <= 0 or a truncated O(X^(e)) input entry), 3 indeterminate
+truncation, 4 internal error (a result failed its own check, or another
+RcgError such as NoRelatingElement or PrecisionExhausted).
 
     python -m rcg.cli cartan g.mat
 """
@@ -20,7 +25,7 @@ from fractions import Fraction
 
 from . import puiseux as puiseux_mod
 from .decomp import bruhat, cartan_kak, iwasawa_kau, iwasawa_uak
-from .errors import DomainError, IndeterminateSign, InternalError, ParseError, RcgError
+from .errors import DomainError, IndeterminateSign, ParseError, RcgError
 from .kostant import ChamberPoint, char_value, kostant_chars, kostant_member
 from .linalg import Matrix
 from .nilpotent import bch, jacobson_morozov
@@ -31,21 +36,28 @@ from .slgroup import GroupElement
 F = Fraction
 
 
-class Config:
-    def __init__(self, field: str, trunc: Fraction, fmt: str):
-        if trunc <= 0:
-            raise DomainError("truncation order must be positive")
-        self.field = field
-        self.trunc = trunc
-        self.format = fmt
+def _truncation_order(text) -> Fraction:
+    """--trunc, else RCG_TRUNC, else the library default, as a positive
+    rational."""
+    if text is None:
+        text = os.environ.get("RCG_TRUNC")
+    if text is None:
+        return puiseux_mod.DEFAULT_REL_ORDER
+    try:
+        order = F(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"truncation order {text!r} is not a rational number") from None
+    if order <= 0:
+        raise DomainError("truncation order must be positive")
+    return order
 
 
 def _matrix_block(m: Matrix):
     return [[str(x) for x in row] for row in m.data]
 
 
-def _emit(config: Config, payload: dict, out) -> None:
-    if config.format == "json":
+def _emit(args, payload: dict, out) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return
     for key, value in payload.items():
@@ -57,93 +69,47 @@ def _emit(config: Config, payload: dict, out) -> None:
             print(f"{key}: {value}", file=out)
 
 
-def _load_group_element(path: str, config: Config, expect_n=None) -> GroupElement:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    mat = parse_matrix(text, config.field)
+def _read_matrix(path: str, field: str) -> Matrix:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            mat = parse_matrix(fh.read(), field)
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc)) from None
+    # A Puiseux inverse or root of an input with a tail would claim terms
+    # below that tail (the series loops drop it), so input must be exact.
+    if field == "puiseux" and not all(x.is_exact() for row in mat.data for x in row):
+        raise DomainError("input entries must be exact, without an O(X^(e)) term")
+    return mat
+
+
+def _load_group_element(path: str, field: str, expect_n=None) -> GroupElement:
+    mat = _read_matrix(path, field)
     if expect_n is not None and mat.nrows != expect_n:
         raise DomainError(f"expected a {expect_n}x{expect_n} matrix")
     return GroupElement(mat)
 
 
-def _certify_equal(actual: Matrix, expected: Matrix) -> None:
-    diff = actual - expected
-    for row in diff.data:
-        for entry in row:
-            try:
-                ok = diff.domain.is_zero(entry)
-            except IndeterminateSign:
-                ok = not entry.terms  # truncated but all known terms vanish
-            if not ok:
-                raise InternalError("reconstruction failed")
-
-
-def _cmd_iwasawa(args, config: Config, out) -> None:
-    g = _load_group_element(args.file, config, args.n)
-    if args.mode == "kau":
-        res = iwasawa_kau(g)
-        _certify_equal((res.k * res.a * res.u).mat, g.mat)
-        payload = {
-            "k": _matrix_block(res.k.mat),
-            "a": _matrix_block(res.a.mat),
-            "u": _matrix_block(res.u.mat),
-        }
+def _cmd_decompose(args, out) -> None:
+    g = _load_group_element(args.file, args.field, args.n)
+    if args.command == "iwasawa":
+        res = iwasawa_kau(g) if args.mode == "kau" else iwasawa_uak(g)
+    elif args.command == "cartan":
+        res = cartan_kak(g, order=args.trunc if args.field == "puiseux" else None)
     else:
-        res = iwasawa_uak(g)
-        _certify_equal((res.u * res.a * res.k).mat, g.mat)
-        payload = {
-            "u": _matrix_block(res.u.mat),
-            "a": _matrix_block(res.a.mat),
-            "k": _matrix_block(res.k.mat),
-        }
-    _emit(config, payload, out)
+        res = bruhat(g)
+    res.certify(g)
+    _emit(args, {name: _matrix_block(f.mat) for name, f in res.factors().items()}, out)
 
 
-def _cmd_cartan(args, config: Config, out) -> None:
-    g = _load_group_element(args.file, config, args.n)
-    res = cartan_kak(g, order=config.trunc if config.field == "puiseux" else None)
-    _certify_equal((res.k1 * res.a * res.k2).mat, g.mat)
+def _cmd_bch(args, out) -> None:
+    z = bch(_read_matrix(args.x, args.field), _read_matrix(args.y, args.field))
+    _emit(args, {"z": _matrix_block(z)}, out)
+
+
+def _cmd_jm_triple(args, out) -> None:
+    triple = jacobson_morozov(_read_matrix(args.file, args.field))
     _emit(
-        config,
-        {
-            "k1": _matrix_block(res.k1.mat),
-            "a": _matrix_block(res.a.mat),
-            "k2": _matrix_block(res.k2.mat),
-        },
-        out,
-    )
-
-
-def _cmd_bruhat(args, config: Config, out) -> None:
-    g = _load_group_element(args.file, config, args.n)
-    res = bruhat(g)
-    _certify_equal((res.b1 * res.w * res.b2).mat, g.mat)
-    _emit(
-        config,
-        {
-            "b1": _matrix_block(res.b1.mat),
-            "w": _matrix_block(res.w.mat),
-            "b2": _matrix_block(res.b2.mat),
-        },
-        out,
-    )
-
-
-def _cmd_bch(args, config: Config, out) -> None:
-    with open(args.x, "r", encoding="utf-8") as fh:
-        x = parse_matrix(fh.read(), config.field)
-    with open(args.y, "r", encoding="utf-8") as fh:
-        y = parse_matrix(fh.read(), config.field)
-    z = bch(x, y)
-    _emit(config, {"z": _matrix_block(z)}, out)
-
-
-def _cmd_jm_triple(args, config: Config, out) -> None:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        x = parse_matrix(fh.read(), config.field)
-    triple = jacobson_morozov(x)
-    _emit(
-        config,
+        args,
         {
             "x": _matrix_block(triple.x),
             "h": _matrix_block(triple.h),
@@ -153,24 +119,24 @@ def _cmd_jm_triple(args, config: Config, out) -> None:
     )
 
 
-def _cmd_kostant_check(args, config: Config, out) -> None:
-    a = ChamberPoint(_load_group_element(args.a, config))
-    b = ChamberPoint(_load_group_element(args.b, config))
+def _cmd_kostant_check(args, out) -> None:
+    a = ChamberPoint(_load_group_element(args.a, args.field))
+    b = ChamberPoint(_load_group_element(args.b, args.field))
     member = kostant_member(a, b)
     slacks = []
     for vec in kostant_chars(a.n):
         diff = char_value(vec, b) - char_value(vec, a)
-        if config.field == "tower":
+        if args.field == "tower":
             lo, hi = diff.approx(F(1, 10**12))
             slacks.append(float((lo + hi) / 2))
         else:
             slacks.append(str(diff))
-    _emit(config, {"member": member, "slacks": slacks}, out)
-    if config.format == "text":
+    _emit(args, {"member": member, "slacks": slacks}, out)
+    if args.format == "text":
         print(f"result: {'inside' if member else 'outside'}", file=out)
 
 
-def _cmd_roots(args, config: Config, out) -> None:
+def _cmd_roots(args, out) -> None:
     rs = build(args.type)
     w = weyl(rs)
     cd = cone_data(rs)
@@ -184,7 +150,7 @@ def _cmd_roots(args, config: Config, out) -> None:
         "eta_plus": list(eta_plus(rs)),
         "eta_plus_coefficients": [str(c) for c in coeffs],
     }
-    _emit(config, payload, out)
+    _emit(args, payload, out)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -230,9 +196,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "iwasawa": _cmd_iwasawa,
-    "cartan": _cmd_cartan,
-    "bruhat": _cmd_bruhat,
+    "iwasawa": _cmd_decompose,
+    "cartan": _cmd_decompose,
+    "bruhat": _cmd_decompose,
     "bch": _cmd_bch,
     "jm-triple": _cmd_jm_triple,
     "kostant-check": _cmd_kostant_check,
@@ -241,21 +207,14 @@ _COMMANDS = {
 
 
 def run(argv, out=sys.stdout, err=sys.stderr) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    previous = puiseux_mod.DEFAULT_REL_ORDER
     try:
-        trunc_text = args.trunc
-        if trunc_text is None:
-            trunc_text = os.environ.get("RCG_TRUNC", "8")
-        trunc = F(trunc_text)
-        config = Config(args.field, trunc, args.format)
-        puiseux_mod.DEFAULT_REL_ORDER = trunc
-        _COMMANDS[args.command](args, config, out)
+        args.trunc = _truncation_order(args.trunc)
+        puiseux_mod.DEFAULT_REL_ORDER = args.trunc
+        _COMMANDS[args.command](args, out)
         return 0
     except ParseError as exc:
-        print(f"parse error: {exc}", file=err)
-        return 1
-    except ValueError as exc:
         print(f"parse error: {exc}", file=err)
         return 1
     except IndeterminateSign as exc:
@@ -274,7 +233,7 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
         print(f"internal error: {exc}", file=err)
         return 4
     finally:
-        puiseux_mod.DEFAULT_REL_ORDER = F(8)
+        puiseux_mod.DEFAULT_REL_ORDER = previous
 
 
 def main() -> None:

@@ -1,9 +1,12 @@
 """Iwasawa (KAU/UAK), Cartan (KAK) and Bruhat (BWB) decompositions of SL_n.
 
-All three work over the tower field and over the Puiseux field.  Tower
-results reconstruct the input exactly.  Puiseux results carry per-value
-truncation tails; reconstruction is then certified in the sense that every
-known term of k*a*u - g (etc.) vanishes.
+All three work over the tower field and over the Puiseux field.  Each
+result is a product of its factors in field order, and res.certify(g)
+checks that product against g: tower results reconstruct the input
+exactly; Puiseux results carry per-value truncation tails, and there every
+known term of k*a*u - g (etc.) must vanish.  The decompositions do not
+certify themselves: an exact reconstruction costs far more than a tower
+decomposition, so the caller that prints a result (the CLI) pays for it.
 
 The Weyl chamber A+ is realised as non-increasing diagonal (equivalently
 chi_delta(a) >= 1 for the simple roots); Cartan middle factors are sorted
@@ -13,9 +16,12 @@ scale with signs absorbed into the +-1 entries of w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
+from . import puiseux
 from .errors import DomainError, IndeterminateSign, InternalError, NoRelatingElement
 from .linalg import (
     Matrix,
@@ -31,44 +37,50 @@ from .slgroup import GroupElement, n_elements
 F = Fraction
 
 
+class _Factorisation:
+    """A factorisation g = f1 f2 f3, its factors the dataclass fields."""
+
+    def factors(self) -> dict:
+        """The factors by field name, in declaration (= product) order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def reconstruct(self) -> GroupElement:
+        return reduce(mul, self.factors().values())
+
+    def certify(self, g: GroupElement) -> None:
+        """InternalError unless every known entry of reconstruct() - g
+        vanishes (exactly zero over the tower)."""
+        residual = self.reconstruct().mat - g.mat
+        if not all(residual.domain.vanishes(x) for row in residual.data for x in row):
+            raise InternalError("reconstruction failed")
+
+
 @dataclass
-class KAUResult:
+class KAUResult(_Factorisation):
     k: GroupElement
     a: GroupElement
     u: GroupElement
 
-    def reconstruct(self) -> GroupElement:
-        return self.k * self.a * self.u
-
 
 @dataclass
-class UAKResult:
+class UAKResult(_Factorisation):
     u: GroupElement
     a: GroupElement
     k: GroupElement
 
-    def reconstruct(self) -> GroupElement:
-        return self.u * self.a * self.k
-
 
 @dataclass
-class KAKResult:
+class KAKResult(_Factorisation):
     k1: GroupElement
     a: GroupElement
     k2: GroupElement
 
-    def reconstruct(self) -> GroupElement:
-        return self.k1 * self.a * self.k2
-
 
 @dataclass
-class BruhatResult:
+class BruhatResult(_Factorisation):
     b1: GroupElement
     w: GroupElement
     b2: GroupElement
-
-    def reconstruct(self) -> GroupElement:
-        return self.b1 * self.w * self.b2
 
 
 def _group(mat: Matrix) -> GroupElement:
@@ -166,17 +178,17 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
 
     Tower inputs need a tower-solvable simple spectrum of g^T g; Puiseux
     inputs need a simple leading spectrum (then everything is certified to
-    the requested relative order, default 8)."""
+    the requested relative order, default puiseux.DEFAULT_REL_ORDER)."""
     s = g.mat.transpose() * g.mat
     if g.mat.domain is PUISEUX:
-        lift = sym_eigen_lift(s, F(order) if order is not None else F(8))
+        ord_ = F(order) if order is not None else puiseux.DEFAULT_REL_ORDER
+        lift = sym_eigen_lift(s, ord_)
         lams, vmat = lift.eigenvalues, lift.eigenvectors
         if det(vmat).sign() < 0:
             rows = [list(r) for r in vmat.data]
             for i in range(g.n):
                 rows[i][-1] = -rows[i][-1]
             vmat = Matrix(PUISEUX, rows)
-        ord_ = F(order) if order is not None else F(8)
         a_diag = [lam.sqrt_positive(ord_) for lam in lams]
         inv_a = [x.invert(ord_) for x in a_diag]
     else:

@@ -24,7 +24,7 @@ from math import gcd
 
 from .decomp import a_component
 from .errors import DomainError, InternalError, PrecisionExhausted
-from .linalg import Matrix
+from .linalg import TOWER, Matrix
 from .rootsys import build, cone_data
 from .slgroup import GroupElement, member_A
 
@@ -53,14 +53,7 @@ class ChamberPoint:
 
     @staticmethod
     def from_diagonal(entries, domain=None) -> "ChamberPoint":
-        from .linalg import TOWER
-
-        domain = domain or TOWER
-        n = len(entries)
-        mat = Matrix(
-            domain, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-        return ChamberPoint(GroupElement(mat))
+        return ChamberPoint(GroupElement(_diagonal(entries, domain or TOWER)))
 
     def diagonal(self):
         return [self.element.mat.data[i][i] for i in range(self.n)]
@@ -71,9 +64,17 @@ class ChamberPoint:
     __hash__ = None
 
 
+def _diagonal(entries, domain) -> Matrix:
+    n = len(entries)
+    return Matrix(
+        domain, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+
+
 def chamber_projection(a: GroupElement) -> ChamberPoint:
     """The A+ representative of an A-element: diagonal sorted descending
-    (the spherical Weyl group acts by permuting diagonal entries)."""
+    (the spherical Weyl group acts by permuting diagonal entries).  A
+    permuted diagonal keeps a's determinant, so it is not computed again."""
     if not member_A(a):
         raise DomainError("chamber projection needs an A-element")
     dom = a.mat.domain
@@ -83,7 +84,7 @@ def chamber_projection(a: GroupElement) -> ChamberPoint:
         while j > 0 and dom.sign(diag[j - 1] - diag[j]) < 0:
             diag[j - 1], diag[j] = diag[j], diag[j - 1]
             j -= 1
-    return ChamberPoint.from_diagonal(diag, dom)
+    return ChamberPoint(GroupElement._unchecked(_diagonal(diag, dom)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,13 @@ Newton iteration to a requested relative order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 
+from . import puiseux
 from .errors import (
     DegenerateLeadingSpectrum,
+    DomainError,
     IndeterminateSign,
     RepeatedEigenvalue,
     SingularMatrix,
@@ -37,6 +40,12 @@ class ScalarDomain:
         raise NotImplementedError
 
     def is_zero(self, s) -> bool:
+        raise NotImplementedError
+
+    def vanishes(self, s) -> bool:
+        """True iff every known term of s is zero: exact zero over the
+        tower; over the Puiseux field, whatever is unknown lies in the tail.
+        Never raises IndeterminateSign."""
         raise NotImplementedError
 
     def sign(self, s) -> int:
@@ -66,6 +75,8 @@ class _TowerDomain(ScalarDomain):
     def is_zero(self, s):
         return s.is_zero()
 
+    vanishes = is_zero
+
     def sign(self, s):
         return s.sign()
 
@@ -84,6 +95,9 @@ class _PuiseuxDomain(ScalarDomain):
 
     def is_zero(self, s):
         return s.is_zero()
+
+    def vanishes(self, s):
+        return not s.terms
 
     def sign(self, s):
         return s.sign()
@@ -107,9 +121,9 @@ class Matrix:
     def __init__(self, domain: ScalarDomain, rows):
         data = tuple(tuple(domain.coerce(x) for x in row) for row in rows)
         if not data or not data[0]:
-            raise ValueError("matrix needs at least one row and column")
+            raise DomainError("matrix needs at least one row and column")
         if any(len(r) != len(data[0]) for r in data):
-            raise ValueError("ragged rows")
+            raise DomainError("ragged rows")
         self.domain = domain
         self.data = data
         self.nrows = len(data)
@@ -177,16 +191,23 @@ class Matrix:
 
     # -- arithmetic ------------------------------------------------------------
 
+    def _same_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DomainError(
+                f"shape mismatch: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}"
+            )
+        return zip(self.data, other.data)
+
     def __add__(self, other):
         return Matrix(
             self.domain,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in self._same_shape(other)],
         )
 
     def __sub__(self, other):
         return Matrix(
             self.domain,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in self._same_shape(other)],
         )
 
     def __neg__(self):
@@ -195,7 +216,7 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
-                raise ValueError("dimension mismatch")
+                raise DomainError("dimension mismatch")
             cols = list(zip(*other.data))
             return Matrix(
                 self.domain,
@@ -234,6 +255,10 @@ def _dot(u, v, domain):
     for a, b in zip(u, v):
         acc = acc + a * b
     return acc
+
+
+#: sort key for exact scalars of one field: compares by the sign of a - b
+_exact_key = cmp_to_key(lambda a, b: (a - b).sign())
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -312,7 +337,7 @@ def det(m: Matrix):
     never tests a truncated entry for zero, so tails propagate into the
     result instead of blocking a pivot."""
     if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
+        raise DomainError("determinant of a non-square matrix")
     if m.domain is not TOWER or m.nrows <= 3:
         return _det_rows(m.data, m.domain)
     rows, pivots, det_sign, _ = _eliminate(m)
@@ -348,7 +373,7 @@ def _det_rows(rows, domain):
 def solve(m: Matrix, rhs: Matrix) -> Matrix:
     """Solve m x = rhs exactly.  SingularMatrix on rank deficiency."""
     if not m.is_square() or rhs.nrows != m.nrows:
-        raise ValueError("dimension mismatch")
+        raise DomainError("dimension mismatch")
     domain = m.domain
     rows, pivots, _, rrows = _eliminate(m, rhs)
     if len(pivots) < m.nrows:
@@ -395,7 +420,7 @@ def char_poly(m: Matrix) -> list:
     p(t) = t^n + c1 t^(n-1) + ... + cn, by the Faddeev-LeVerrier recursion
     (valid in characteristic zero; only integer divisions appear)."""
     if not m.is_square():
-        raise ValueError("char_poly of a non-square matrix")
+        raise DomainError("char_poly of a non-square matrix")
     n = m.nrows
     domain = m.domain
     coeffs = [domain.one]
@@ -492,16 +517,11 @@ def tower_roots(coeffs: list) -> list:
 
 def _check_symmetric(s: Matrix):
     if not s.is_square():
-        raise ValueError("symmetric eigenproblem needs a square matrix")
+        raise DomainError("symmetric eigenproblem needs a square matrix")
     for i in range(s.nrows):
         for j in range(i + 1, s.ncols):
-            diff = s.data[i][j] - s.data[j][i]
-            try:
-                ok = s.domain.is_zero(diff)
-            except IndeterminateSign:
-                ok = not diff.terms
-            if not ok:
-                raise ValueError("matrix is not symmetric")
+            if not s.domain.vanishes(s.data[i][j] - s.data[j][i]):
+                raise DomainError("matrix is not symmetric")
 
 
 def sym_eigen_tower(s: Matrix):
@@ -515,7 +535,7 @@ def sym_eigen_tower(s: Matrix):
         for j in range(i + 1, n):
             if (lams[i] - lams[j]).is_zero():
                 raise RepeatedEigenvalue("spectrum is not simple")
-    lams.sort(key=_TowerKey, reverse=True)
+    lams.sort(key=_exact_key, reverse=True)
     cols = []
     for lam in lams:
         shifted = s - Matrix.identity(n, TOWER) * lam
@@ -540,16 +560,6 @@ def sym_eigen_tower(s: Matrix):
             flipped[i][-1] = -flipped[i][-1]
         vmat = Matrix(TOWER, flipped)
     return lams, vmat
-
-
-class _TowerKey:
-    """Total-order sort key wrapping exact sign comparisons."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return (self.value - other.value).sign() < 0
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +664,12 @@ def _adjugate(m: Matrix) -> Matrix:
     return Matrix(m.domain, cof).transpose()
 
 
-def sym_eigen_lift(s: Matrix, order=F(8)) -> SymEigenLift:
+def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
     """Eigen series of a symmetric Puiseux matrix whose leading spectrum is
-    simple, refined to the given relative order."""
+    simple, refined to the given relative order (default
+    puiseux.DEFAULT_REL_ORDER)."""
     _check_symmetric(s)
-    order = F(order)
+    order = F(order) if order is not None else puiseux.DEFAULT_REL_ORDER
     n = s.nrows
     coeffs = char_poly(s)
     branches = _newton_polygon_branches(coeffs)
@@ -678,7 +689,7 @@ def sym_eigen_lift(s: Matrix, order=F(8)) -> SymEigenLift:
         else:
             raise UnsolvableSpectrum("Newton refinement did not converge")
         lams.append(lam.truncate_below(mu - order))
-    lams.sort(key=_PuiseuxKey, reverse=True)
+    lams.sort(key=_exact_key, reverse=True)
     cols = []
     for lam in lams:
         shifted = s - Matrix.identity(n, PUISEUX) * lam
@@ -710,11 +721,3 @@ def sym_eigen_lift(s: Matrix, order=F(8)) -> SymEigenLift:
         cols.append(v)
     vmat = Matrix(PUISEUX, list(zip(*cols)))
     return SymEigenLift(lams, vmat, order)
-
-
-class _PuiseuxKey:
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return (self.value - other.value).sign() < 0

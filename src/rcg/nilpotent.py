@@ -81,6 +81,8 @@ def log_unipotent(u) -> Matrix:
 
 
 def _require_strictly_upper(x: Matrix, name: str):
+    if x.nrows != x.ncols:
+        raise DomainError(f"{name} must be a square matrix")
     for i in range(x.nrows):
         for j in range(i + 1):
             if not x.domain.is_zero(x.data[i][j]):

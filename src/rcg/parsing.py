@@ -2,13 +2,16 @@
 
     scalar   := ["+"|"-"] term (("+"|"-") term)*
     term     := factor (("*"|"/") factor)*
-    factor   := rational | "sqrt" "(" scalar ")"
-              | "X" ("^" "(" rational ")")?  | "(" scalar ")"
+    factor   := rational | "sqrt" "(" scalar ")" | "(" scalar ")"
+              | power | "O" "(" power ")"
+    power    := "X" ("^" "(" rational ")")?
     rational := ["-"] int ("/" posint)?
 
 Matrices: rows separated by ";" or newlines, entries by ",".  Parsing
 evaluates directly to exact values; printing any value re-parses to an
-equal value.  "X" is only admitted in the Puiseux field.
+equal value.  "X" and "O" are only admitted in the Puiseux field;
+O(X^(e)) is the truncation marker of a truncated value, zero with every
+term below X^(e) unknown.
 """
 
 from __future__ import annotations
@@ -149,19 +152,31 @@ class _Grammar:
             inner = self.scalar(toks)
             toks.expect_sym(")")
             return self.sqrt(inner)
-        if kind == "name" and value == "X":
+        if kind == "name" and value in ("X", "O"):
             if self.field != "puiseux":
-                raise ParseError("X is only available in the puiseux field", line, col)
+                raise ParseError(f"{value} is only available in the puiseux field", line, col)
+            if value == "X":
+                return PuiseuxScalar.monomial(1, self.power(toks))
             toks.next()
-            kind, value, _, _ = toks.peek()
-            exponent = F(1)
-            if kind == "sym" and value == "^":
-                toks.next()
-                toks.expect_sym("(")
-                exponent = self.rational(toks)
-                toks.expect_sym(")")
-            return PuiseuxScalar.monomial(1, exponent)
+            toks.expect_sym("(")
+            tail = self.power(toks)
+            toks.expect_sym(")")
+            return PuiseuxScalar((), tail)
         toks.error(f"expected a factor, found {value!r}")
+
+    def power(self, toks: _Tokens) -> Fraction:
+        """The exponent of X (^(e), default 1)."""
+        kind, value, line, col = toks.next()
+        if kind != "name" or value != "X":
+            raise ParseError(f"expected 'X', found {value!r}", line, col)
+        kind, value, _, _ = toks.peek()
+        if kind != "sym" or value != "^":
+            return F(1)
+        toks.next()
+        toks.expect_sym("(")
+        exponent = self.rational(toks)
+        toks.expect_sym(")")
+        return exponent
 
     def rational(self, toks: _Tokens) -> Fraction:
         kind, value, line, col = toks.next()

@@ -169,7 +169,7 @@ class WeylGroup:
         for e in self.elements:
             if e.matrix == mat:
                 return e
-        raise AssertionError("Weyl group not closed")  # pragma: no cover
+        raise InternalError("Weyl group not closed")
 
     def element_orders(self):
         identity = tuple(

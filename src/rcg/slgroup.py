@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, IndeterminateSign, InternalError
+from .errors import DomainError, InternalError
 from .linalg import Matrix, TOWER, det, inverse
 
 F = Fraction
@@ -43,15 +43,11 @@ class GroupElement:
     def __init__(self, mat: Matrix):
         if not mat.is_square():
             raise DomainError("group elements are square matrices")
-        diff = det(mat) - mat.domain.one
-        try:
-            ok = mat.domain.is_zero(diff)
-        except IndeterminateSign:
-            # truncated entries: every known term of det - 1 cancelled, which
-            # is all a certified-order decomposition can promise
-            ok = True
-        if not ok:
-            raise DomainError(f"determinant is {det(mat)}, not 1")
+        d = det(mat)
+        # over the Puiseux field every known term of det - 1 must cancel,
+        # which is all a certified-order decomposition can promise
+        if not mat.domain.vanishes(d - mat.domain.one):
+            raise DomainError(f"determinant is {d}, not 1")
         self.mat = mat
         self.n = mat.nrows
 

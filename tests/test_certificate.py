@@ -1,0 +1,124 @@
+"""One certificate per factorisation, one vanishing test, one exact sort key,
+and checks made once.
+
+Every decomposition result certifies itself (`res.certify(g)`): it accepts
+an exact factorisation and a Puiseux one whose known residual terms vanish
+above their tails, and raises InternalError for a wrong factor over either
+field.  `domain.vanishes` is the one test for "every known term is zero";
+`_exact_key` is the one sort key for exact scalars.  The chamber projection
+and the determinant message compute no determinant they already have.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+import rcg.slgroup
+from rcg.decomp import (
+    BruhatResult,
+    KAKResult,
+    KAUResult,
+    UAKResult,
+    bruhat,
+    cartan_kak,
+    iwasawa_kau,
+    iwasawa_uak,
+)
+from rcg.errors import DomainError, InternalError
+from rcg.kostant import chamber_projection
+from rcg.linalg import PUISEUX, TOWER, Matrix, _exact_key
+from rcg.puiseux import PuiseuxScalar, X
+from rcg.slgroup import GroupElement
+from rcg.tower import TowerScalar, sqrt_positive
+
+F = Fraction
+
+TOWER_G = GroupElement.tower([[2, 3], [1, 2]])
+PUISEUX_G = GroupElement.puiseux([[X, 0], [1, X.invert()]])
+DECOMPOSITIONS = [iwasawa_kau, iwasawa_uak, cartan_kak, bruhat]
+
+
+def test_factors_are_the_fields_in_product_order():
+    one = GroupElement.identity(2)
+    expected = {
+        KAUResult: ["k", "a", "u"],
+        UAKResult: ["u", "a", "k"],
+        KAKResult: ["k1", "a", "k2"],
+        BruhatResult: ["b1", "w", "b2"],
+    }
+    for cls, names in expected.items():
+        assert list(cls(one, one, one).factors()) == names
+    res = iwasawa_kau(TOWER_G)
+    assert res.reconstruct() == res.k * res.a * res.u == TOWER_G
+
+
+@pytest.mark.parametrize("decompose", DECOMPOSITIONS, ids=lambda f: f.__name__)
+def test_certify_accepts_an_exact_factorisation(decompose):
+    decompose(TOWER_G).certify(TOWER_G)
+
+
+@pytest.mark.parametrize("decompose", DECOMPOSITIONS, ids=lambda f: f.__name__)
+def test_certify_accepts_known_terms_that_vanish_above_a_tail(decompose):
+    res = decompose(PUISEUX_G)
+    residual = res.reconstruct().mat - PUISEUX_G.mat
+    if decompose is not bruhat:  # Bruhat divides only by exact monomials
+        assert any(x.tail is not None for row in residual.data for x in row)
+    res.certify(PUISEUX_G)
+
+
+def test_certify_accepts_a_residual_made_only_of_tails():
+    one = GroupElement.identity(2, PUISEUX)
+    fuzzy = GroupElement.puiseux([[1 + PuiseuxScalar((), -4), 0], [0, 1]])
+    KAUResult(one, fuzzy, one).certify(one)
+
+
+@pytest.mark.parametrize("g", [TOWER_G, PUISEUX_G], ids=["tower", "puiseux"])
+def test_certify_rejects_a_wrong_factor(g):
+    res = iwasawa_kau(g)
+    stretch = GroupElement(Matrix(g.mat.domain, [[2, 0], [0, F(1, 2)]]))
+    for wrong in (replace(res, a=res.a * stretch), replace(res, u=res.u.transpose())):
+        with pytest.raises(InternalError, match="reconstruction failed"):
+            wrong.certify(g)
+
+
+def test_vanishes_is_zero_over_the_tower_and_no_known_term_over_puiseux():
+    r2 = sqrt_positive(2)
+    assert TOWER.vanishes(r2 - r2)
+    assert not TOWER.vanishes(TowerScalar.coerce(1))
+    assert PUISEUX.vanishes(PuiseuxScalar(()))
+    assert PUISEUX.vanishes(PuiseuxScalar((), -3))
+    assert not PUISEUX.vanishes(1 + PuiseuxScalar((), -3))
+    assert not PUISEUX.vanishes(X)
+
+
+def test_exact_key_orders_both_fields():
+    r2, r3 = sqrt_positive(2), sqrt_positive(3)
+    values = [r3, TowerScalar.coerce(1), r2, TowerScalar.coerce(F(3, 2))]
+    assert sorted(values, key=_exact_key) == [values[1], r2, values[3], r3]
+    series = [X, X.invert(), PuiseuxScalar.constant(1)]
+    assert sorted(series, key=_exact_key, reverse=True) == [X, series[2], series[1]]
+
+
+def test_chamber_projection_computes_no_determinant(monkeypatch):
+    a = GroupElement.tower([[F(1, 2), 0, 0], [0, 4, 0], [0, 0, F(1, 2)]])
+
+    def refuse(_):
+        raise AssertionError("determinant computed for a permuted diagonal")
+
+    monkeypatch.setattr(rcg.slgroup, "det", refuse)
+    assert chamber_projection(a).diagonal() == [4, F(1, 2), F(1, 2)]
+
+
+def test_a_refused_element_computes_its_determinant_once(monkeypatch):
+    calls = []
+    det = rcg.slgroup.det
+
+    def counting_det(m):
+        calls.append(m)
+        return det(m)
+
+    monkeypatch.setattr(rcg.slgroup, "det", counting_det)
+    with pytest.raises(DomainError, match="determinant is 2, not 1"):
+        GroupElement.tower([[2, 0], [0, 1]])
+    assert len(calls) == 1

@@ -11,7 +11,7 @@ import pytest
 import rcg
 import rcg.cli
 from rcg.cli import run
-from rcg.decomp import BruhatResult
+from rcg.decomp import BruhatResult, bruhat, cartan_kak, iwasawa_kau, iwasawa_uak
 from rcg.errors import NoRelatingElement, ParseError, PrecisionExhausted
 from rcg.parsing import parse_matrix, parse_scalar, print_matrix
 from rcg.puiseux import PuiseuxScalar
@@ -297,3 +297,129 @@ def test_python_m_rcg_cli(tmp_path):
                              capture_output=True, text=True, env=env, timeout=120)
     assert refused.returncode == 2
     assert "determinant is 2" in refused.stderr
+
+
+# ---------------------------------------------------------------------------
+# error surface: shape errors are domain errors, --trunc is parsed once
+
+def test_cli_bch_shape_mismatch_is_a_domain_error(tmp_path):
+    code, out, err = run_cli(
+        ["bch"],
+        files={"x.mat": "0, 1; 0, 0", "y.mat": "0, 1, 0; 0, 0, 1; 0, 0, 0"},
+        tmp_path=tmp_path,
+    )
+    assert (code, out) == (2, "")
+    assert err == "domain error: dimension mismatch\n"
+
+
+def test_cli_bch_non_square_is_a_domain_error(tmp_path):
+    code, out, err = run_cli(
+        ["bch"], files={"x.mat": "0, 1; 0, 0; 0, 0", "y.mat": "0, 0; 0, 0; 0, 0"},
+        tmp_path=tmp_path,
+    )
+    assert code == 2
+    assert err == "domain error: X must be a square matrix\n"
+
+
+def test_cli_input_that_is_not_utf8_is_a_parse_error(tmp_path):
+    g = tmp_path / "g.mat"
+    g.write_bytes(b"\xff")
+    code, out, err = run_cli(["bruhat", str(g)])
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["iwasawa"], {"g.mat": "1 + O(X^(-3)), 0; 0, 1"}),
+        (["cartan"], {"g.mat": "X, O(X^(-5)); 0, X^(-1)"}),
+        (["bch"], {"x.mat": "0, 1 + O(X^(-2)); 0, 0", "y.mat": "0, 1; 0, 0"}),
+    ],
+    ids=["iwasawa", "cartan", "bch"],
+)
+def test_cli_refuses_truncated_input(tmp_path, argv, files):
+    code, out, err = run_cli(["--field", "puiseux"] + argv, files=files, tmp_path=tmp_path)
+    assert (code, out) == (2, "")
+    assert err == "domain error: input entries must be exact, without an O(X^(e)) term\n"
+
+
+@pytest.mark.parametrize("trunc", ["abc", "1/0", "1/2/3", ""])
+def test_cli_trunc_that_is_not_rational_is_a_parse_error(tmp_path, trunc):
+    code, out, err = run_cli(
+        ["--trunc", trunc, "bruhat"], files={"g.mat": "1, 1; 0, 1"}, tmp_path=tmp_path
+    )
+    assert code == 1
+    assert err == f"parse error: truncation order {trunc!r} is not a rational number\n"
+
+
+def test_cli_trunc_env_that_is_not_rational_is_a_parse_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("RCG_TRUNC", "1/0")
+    code, out, err = run_cli(["bruhat"], files={"g.mat": "1, 1; 0, 1"}, tmp_path=tmp_path)
+    assert code == 1 and err.startswith("parse error: truncation order '1/0'")
+
+
+@pytest.mark.parametrize("trunc", ["0", "-1", "-3/2"])
+def test_cli_trunc_not_positive_is_a_domain_error(tmp_path, trunc):
+    code, out, err = run_cli(
+        [f"--trunc={trunc}", "bruhat"], files={"g.mat": "1, 1; 0, 1"}, tmp_path=tmp_path
+    )
+    assert code == 2
+    assert err == "domain error: truncation order must be positive\n"
+
+
+def test_cli_restores_the_default_order_it_found(tmp_path, monkeypatch):
+    monkeypatch.setattr(rcg.puiseux, "DEFAULT_REL_ORDER", F(12))
+    files = {"g.mat": "X, 0; 1, X^(-1)"}
+    code, out, _ = run_cli(["--field", "puiseux", "iwasawa"], files=files, tmp_path=tmp_path)
+    # without --trunc the run uses the default it found
+    assert code == 0 and "O(X^(-12))" in out
+    assert rcg.puiseux.DEFAULT_REL_ORDER == 12
+    code, out, _ = run_cli(
+        ["--field", "puiseux", "--trunc", "6", "iwasawa"], files=files, tmp_path=tmp_path
+    )
+    assert code == 0 and "O(X^(-12))" not in out
+    assert rcg.puiseux.DEFAULT_REL_ORDER == 12
+    assert run_cli(["--trunc", "0", "roots", "--type", "A1"])[0] == 2
+    assert rcg.puiseux.DEFAULT_REL_ORDER == 12
+
+
+# ---------------------------------------------------------------------------
+# printing round-trips, truncated Puiseux values included
+
+def test_parse_truncation_marker():
+    assert parse_scalar("1 + O(X^(-6))", "puiseux") == PuiseuxScalar(((0, 1),), tail=-6)
+    assert parse_scalar("O(X)", "puiseux") == PuiseuxScalar((), tail=1)
+    assert parse_scalar("0 + O(X^(1/2))", "puiseux") == PuiseuxScalar((), tail=F(1, 2))
+    with pytest.raises(ParseError, match="only available in the puiseux field"):
+        parse_scalar("1 + O(X^(-6))")
+    with pytest.raises(ParseError):
+        parse_scalar("O(3)", "puiseux")
+
+
+@pytest.mark.parametrize(
+    "argv, decompose",
+    [
+        (["iwasawa"], iwasawa_kau),
+        (["iwasawa", "--mode", "uak"], iwasawa_uak),
+        (["--trunc", "6", "cartan"], lambda g: cartan_kak(g, order=6)),
+        (["bruhat"], bruhat),
+    ],
+    ids=["kau", "uak", "cartan-trunc6", "bruhat"],
+)
+def test_cli_puiseux_output_reparses_to_the_printed_values(tmp_path, argv, decompose):
+    code, out, err = run_cli(
+        ["--field", "puiseux", "--format", "json"] + argv,
+        files={"g.mat": "X, 0; 1, X^(-1)"},
+        tmp_path=tmp_path,
+    )
+    assert code == 0, err
+    blocks = json.loads(out)
+    res = decompose(GroupElement.puiseux([[rcg.X, 0], [1, rcg.X.invert()]]))
+    printed = [s for name in res.factors() for row in blocks[name] for s in row]
+    values = [x for f in res.factors().values() for row in f.mat.data for x in row]
+    assert len(printed) == len(values) == 12
+    for text, value in zip(printed, values):
+        assert parse_scalar(text, "puiseux") == value
+    if decompose is not bruhat:
+        assert any("O(X^(" in text for text in printed)

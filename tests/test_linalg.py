@@ -5,6 +5,7 @@ import pytest
 
 from rcg.errors import (
     DegenerateLeadingSpectrum,
+    DomainError,
     RepeatedEigenvalue,
     SingularMatrix,
     UnsolvableSpectrum,
@@ -217,3 +218,21 @@ def test_sym_eigen_lift_mixed_scales_random():
             for i in range(2):
                 res = s.data[i][0] * col[0] + s.data[i][1] * col[1] - lam * col[i]
                 _assert_known_zero(res)
+
+
+def test_shape_mismatch_is_a_domain_error():
+    two, three = Matrix.identity(2), Matrix.identity(3)
+    wide = Matrix.tower([[1, 2, 3], [4, 5, 6]])
+    for op in (
+        lambda: two + three,
+        lambda: three - two,
+        lambda: two + wide,
+        lambda: two * three,
+        lambda: solve(three, two),
+        lambda: solve(wide, two),
+        lambda: det(wide),
+        lambda: char_poly(wide),
+    ):
+        with pytest.raises(DomainError):
+            op()
+    assert (two + two) == two * 2 and (wide - wide) == wide * 0

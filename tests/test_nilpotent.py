@@ -468,3 +468,11 @@ def test_rank1_bruhat_not_in_image():
     g = GroupElement.tower([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(NotInImage):
         rank1_bruhat_certify(g, RootIndex(0, 1))
+
+
+def test_bch_refuses_non_square_input():
+    wide = Matrix.tower([[0, 1], [0, 0], [0, 0]])
+    with pytest.raises(DomainError, match="X must be a square matrix"):
+        bch(wide, wide)
+    with pytest.raises(DomainError, match="Y must be a square matrix"):
+        zassenhaus(Matrix.tower([[0, 1], [0, 0]]), wide)

@@ -4,12 +4,13 @@ from math import gcd
 
 import pytest
 
-from rcg.errors import UnsupportedType
+from rcg.errors import InternalError, UnsupportedType
 from rcg.rootsys import (
     build,
     cone_data,
     eta_plus,
     eta_plus_expansion,
+    WeylGroup,
     gamma_coefficients,
     weyl,
 )
@@ -129,3 +130,11 @@ def test_gamma_identity_random_lattice():
                 for i in range(rs.rank):
                     recon[i] += c * g[i]
             assert tuple(recon) == tuple(F(x) for x in eta)
+
+
+def test_weyl_compose_outside_the_group_is_an_internal_error():
+    w = weyl(build("A2"))
+    s1, s2 = w.generators
+    partial = WeylGroup(w.system, [s1, s2], w.generators)
+    with pytest.raises(InternalError, match="Weyl group not closed"):
+        partial.compose(s1, s2)
