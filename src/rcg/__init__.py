@@ -33,6 +33,7 @@ from .kostant import (
 from .linalg import (
     Matrix,
     PUISEUX,
+    PuiseuxDomain,
     TOWER,
     char_poly,
     det,
@@ -60,7 +61,7 @@ from .nilpotent import (
 )
 from .parsing import parse_matrix, parse_scalar
 from .puiseux import PuiseuxScalar, X
-from .rootsys import RootSystem, build, cone_data, eta_plus_expansion, weyl
+from .rootsys import RootSystem, build, cone_data, eta_plus_expansion, weyl, weyl_order
 from .slgroup import (
     GroupElement,
     RootIndex,
@@ -88,6 +89,7 @@ __all__ = [
     "KAUResult",
     "Matrix",
     "PUISEUX",
+    "PuiseuxDomain",
     "PuiseuxScalar",
     "RcgError",
     "RootIndex",
@@ -145,6 +147,7 @@ __all__ = [
     "theta",
     "u_theta_factorize",
     "weyl",
+    "weyl_order",
     "weyl_reps_sl3",
     "zassenhaus",
 ]

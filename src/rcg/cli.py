@@ -5,12 +5,13 @@ The three decomposition verbs share one command: it loads g, decomposes
 it, and prints the factors in product order only after res.certify(g) has
 re-multiplied them and checked them against the input (self-certifying
 output).  --trunc (else RCG_TRUNC, else puiseux.DEFAULT_REL_ORDER) is read
-once, and the default order is restored when the run ends.  Exit codes:
-0 success, 1 parse error (also a --trunc that is not a rational number or
-an input file that is not UTF-8), 2 domain error (also a shape mismatch, a
---trunc <= 0 or a truncated O(X^(e)) input entry), 3 indeterminate
-truncation, 4 internal error (a result failed its own check, or another
-RcgError such as NoRelatingElement or PrecisionExhausted).
+once per run into the run's PuiseuxDomain, which every parsed matrix
+carries; the run changes no module state.  Exit codes: 0 success, 1 parse
+error (also a command-line usage error, a --trunc that is not a rational
+number or an input file that is not UTF-8), 2 domain error (also a shape
+mismatch, a --trunc <= 0 or a truncated O(X^(e)) input entry), 3
+indeterminate truncation, 4 internal error (a result failed its own check,
+or another RcgError such as NoRelatingElement or PrecisionExhausted).
 
     python -m rcg.cli cartan g.mat
 """
@@ -27,10 +28,10 @@ from . import puiseux as puiseux_mod
 from .decomp import bruhat, cartan_kak, iwasawa_kau, iwasawa_uak
 from .errors import DomainError, IndeterminateSign, ParseError, RcgError
 from .kostant import ChamberPoint, char_value, kostant_chars, kostant_member
-from .linalg import Matrix
+from .linalg import TOWER, Matrix, PuiseuxDomain, ScalarDomain
 from .nilpotent import bch, jacobson_morozov
 from .parsing import parse_matrix
-from .rootsys import build, cone_data, eta_plus, eta_plus_expansion, weyl
+from .rootsys import build, cone_data, eta_plus, eta_plus_expansion, weyl_order
 from .slgroup import GroupElement
 
 F = Fraction
@@ -69,32 +70,32 @@ def _emit(args, payload: dict, out) -> None:
             print(f"{key}: {value}", file=out)
 
 
-def _read_matrix(path: str, field: str) -> Matrix:
+def _read_matrix(path: str, domain: ScalarDomain) -> Matrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            mat = parse_matrix(fh.read(), field)
+            mat = parse_matrix(fh.read(), domain)
     except UnicodeDecodeError as exc:
         raise ParseError(str(exc)) from None
-    # A Puiseux inverse or root of an input with a tail would claim terms
-    # below that tail (the series loops drop it), so input must be exact.
-    if field == "puiseux" and not all(x.is_exact() for row in mat.data for x in row):
+    # Input must be exact: that the decompositions of a truncated input
+    # certify nothing below its tails has not been shown yet.
+    if domain is not TOWER and not all(x.is_exact() for row in mat.data for x in row):
         raise DomainError("input entries must be exact, without an O(X^(e)) term")
     return mat
 
 
-def _load_group_element(path: str, field: str, expect_n=None) -> GroupElement:
-    mat = _read_matrix(path, field)
+def _load_group_element(path: str, domain: ScalarDomain, expect_n=None) -> GroupElement:
+    mat = _read_matrix(path, domain)
     if expect_n is not None and mat.nrows != expect_n:
         raise DomainError(f"expected a {expect_n}x{expect_n} matrix")
     return GroupElement(mat)
 
 
 def _cmd_decompose(args, out) -> None:
-    g = _load_group_element(args.file, args.field, args.n)
+    g = _load_group_element(args.file, args.domain, args.n)
     if args.command == "iwasawa":
         res = iwasawa_kau(g) if args.mode == "kau" else iwasawa_uak(g)
     elif args.command == "cartan":
-        res = cartan_kak(g, order=args.trunc if args.field == "puiseux" else None)
+        res = cartan_kak(g)
     else:
         res = bruhat(g)
     res.certify(g)
@@ -102,12 +103,12 @@ def _cmd_decompose(args, out) -> None:
 
 
 def _cmd_bch(args, out) -> None:
-    z = bch(_read_matrix(args.x, args.field), _read_matrix(args.y, args.field))
+    z = bch(_read_matrix(args.x, args.domain), _read_matrix(args.y, args.domain))
     _emit(args, {"z": _matrix_block(z)}, out)
 
 
 def _cmd_jm_triple(args, out) -> None:
-    triple = jacobson_morozov(_read_matrix(args.file, args.field))
+    triple = jacobson_morozov(_read_matrix(args.file, args.domain))
     _emit(
         args,
         {
@@ -120,13 +121,13 @@ def _cmd_jm_triple(args, out) -> None:
 
 
 def _cmd_kostant_check(args, out) -> None:
-    a = ChamberPoint(_load_group_element(args.a, args.field))
-    b = ChamberPoint(_load_group_element(args.b, args.field))
+    a = ChamberPoint(_load_group_element(args.a, args.domain))
+    b = ChamberPoint(_load_group_element(args.b, args.domain))
     member = kostant_member(a, b)
     slacks = []
     for vec in kostant_chars(a.n):
         diff = char_value(vec, b) - char_value(vec, a)
-        if args.field == "tower":
+        if args.domain is TOWER:
             lo, hi = diff.approx(F(1, 10**12))
             slacks.append(float((lo + hi) / 2))
         else:
@@ -138,14 +139,13 @@ def _cmd_kostant_check(args, out) -> None:
 
 def _cmd_roots(args, out) -> None:
     rs = build(args.type)
-    w = weyl(rs)
     cd = cone_data(rs)
     coeffs = eta_plus_expansion(rs)
     payload = {
         "type": rs.name,
         "roots": [list(r) for r in rs.all_roots],
         "positive_roots": [list(r) for r in rs.positive_roots],
-        "weyl_order": len(w),
+        "weyl_order": weyl_order(rs),
         "gamma": [list(g) for g in cd.gamma],
         "eta_plus": list(eta_plus(rs)),
         "eta_plus_coefficients": [str(c) for c in coeffs],
@@ -153,8 +153,16 @@ def _cmd_roots(args, out) -> None:
     _emit(args, payload, out)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command-line usage error as a ParseError (exit 1) instead
+    of printing usage and raising SystemExit(2)."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rcg",
         description="exact SL_n decompositions over computable real closed fields",
     )
@@ -207,11 +215,10 @@ _COMMANDS = {
 
 
 def run(argv, out=sys.stdout, err=sys.stderr) -> int:
-    args = make_parser().parse_args(argv)
-    previous = puiseux_mod.DEFAULT_REL_ORDER
     try:
-        args.trunc = _truncation_order(args.trunc)
-        puiseux_mod.DEFAULT_REL_ORDER = args.trunc
+        args = make_parser().parse_args(argv)
+        order = _truncation_order(args.trunc)
+        args.domain = TOWER if args.field == "tower" else PuiseuxDomain(order)
         _COMMANDS[args.command](args, out)
         return 0
     except ParseError as exc:
@@ -232,8 +239,6 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
     except RcgError as exc:
         print(f"internal error: {exc}", file=err)
         return 4
-    finally:
-        puiseux_mod.DEFAULT_REL_ORDER = previous
 
 
 def main() -> None:

@@ -17,15 +17,14 @@ scale with signs absorbed into the +-1 entries of w.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from . import puiseux
 from .errors import DomainError, IndeterminateSign, InternalError, NoRelatingElement
 from .linalg import (
     Matrix,
-    PUISEUX,
+    PuiseuxDomain,
+    TOWER,
     _dot,
     det,
     rank,
@@ -33,8 +32,6 @@ from .linalg import (
     sym_eigen_tower,
 )
 from .slgroup import GroupElement, n_elements
-
-F = Fraction
 
 
 class _Factorisation:
@@ -128,7 +125,7 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
     )
     a_mat = Matrix(dom, [[r_diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
     u_mat = Matrix(dom, u_rows)
-    if dom is PUISEUX:
+    if dom is not TOWER:
         k = _group(k_mat)
     else:
         d = det(Matrix(dom, list(zip(*qhat))))
@@ -178,25 +175,19 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
 
     Tower inputs need a tower-solvable simple spectrum of g^T g; Puiseux
     inputs need a simple leading spectrum (then everything is certified to
-    the requested relative order, default puiseux.DEFAULT_REL_ORDER)."""
-    s = g.mat.transpose() * g.mat
-    if g.mat.domain is PUISEUX:
-        ord_ = F(order) if order is not None else puiseux.DEFAULT_REL_ORDER
-        lift = sym_eigen_lift(s, ord_)
-        lams, vmat = lift.eigenvalues, lift.eigenvectors
-        if det(vmat).sign() < 0:
-            rows = [list(r) for r in vmat.data]
-            for i in range(g.n):
-                rows[i][-1] = -rows[i][-1]
-            vmat = Matrix(PUISEUX, rows)
-        a_diag = [lam.sqrt_positive(ord_) for lam in lams]
-        inv_a = [x.invert(ord_) for x in a_diag]
-    else:
-        lams, vmat = sym_eigen_tower(s)
-        a_diag = [g.mat.domain.sqrt_positive(lam) for lam in lams]
-        inv_a = [g.mat.domain.invert(x) for x in a_diag]
-    n = g.n
+    the relative order `order`, default the order of g's domain)."""
     dom = g.mat.domain
+    if dom is not TOWER and order is not None:
+        dom = PuiseuxDomain(order)
+    s = g.mat.transpose() * g.mat
+    if dom is TOWER:
+        lams, vmat = sym_eigen_tower(s)
+    else:
+        lift = sym_eigen_lift(s, dom.order)
+        lams, vmat = lift.eigenvalues, lift.eigenvectors
+    a_diag = [dom.sqrt_positive(lam) for lam in lams]
+    inv_a = [dom.invert(x) for x in a_diag]
+    n = g.n
     a_mat = Matrix(dom, [[a_diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
     k2 = vmat.transpose()
     k1 = Matrix(

@@ -4,7 +4,7 @@ The production route is the character-inequality test: a lies in the
 A-component image of the K-orbit of b iff chi_j(a) <= chi_j(b) for the
 partial-product characters chi_j(a) = a_1 ... a_j.  Those characters are
 derived (not hardcoded) from the cone data of the A_{n-1} root system; the
-derivation is checked on every call.
+derivation is checked once per n.
 
 The independent test-time route is a convex-hull oracle over certified
 rational logarithms: log a must lie in the convex hull of the Weyl orbit of
@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import gcd
 
@@ -90,18 +91,19 @@ def chamber_projection(a: GroupElement) -> ChamberPoint:
 # ---------------------------------------------------------------------------
 # the characters
 
-_CHARS_CACHE: dict = {}
-
-
-def kostant_chars(n: int):
+def kostant_chars(n: int) -> list:
     """Exponent vectors of the convexity characters of SL_n, derived from
     the A_{n-1} cone data: gamma_j converted to diagonal coordinates,
     shifted modulo the determinant-one relation and made primitive.  The
-    expected partial-product shape is checked, never assumed."""
+    expected partial-product shape is checked, never assumed.  Each call
+    returns a new list; the derivation runs once per n."""
     if n < 2:
         raise DomainError("kostant_chars needs n >= 2")
-    if n in _CHARS_CACHE:
-        return _CHARS_CACHE[n]
+    return list(_derive_chars(n))
+
+
+@cache
+def _derive_chars(n: int) -> tuple:
     rs = build(f"A{n - 1}")
     cd = cone_data(rs)
     chars = []
@@ -119,8 +121,7 @@ def kostant_chars(n: int):
         if vec != [1] * (j + 1) + [0] * (n - j - 1):
             raise InternalError("cone data does not reduce to partial products")
         chars.append(tuple(vec))
-    _CHARS_CACHE[n] = chars
-    return chars
+    return tuple(chars)
 
 
 def char_value(vec, a: ChamberPoint):

@@ -1,6 +1,9 @@
 """Dense exact linear algebra over the tower and Puiseux scalar fields.
 
-Matrices are immutable and homogeneous in scalar kind.  Elimination pivots
+Matrices are immutable and homogeneous in scalar kind: each carries a
+ScalarDomain, TOWER or a PuiseuxDomain, and a PuiseuxDomain fixes the
+relative truncation order of every inverse and square root taken through
+it (PUISEUX is the one at puiseux.DEFAULT_REL_ORDER).  Elimination pivots
 are chosen by exact zero tests; when a truncated Puiseux entry cannot be
 classified the operation aborts with IndeterminateSign instead of guessing.
 
@@ -8,7 +11,8 @@ The symmetric eigen solvers back the Cartan decomposition: sym_eigen_tower
 factors the characteristic polynomial over the tower (rational roots plus
 quadratic splitting, so 2x2 always works), sym_eigen_lift solves the
 leading-order problem of a Puiseux matrix and refines the branches by
-Newton iteration to a requested relative order.
+Newton iteration to a requested relative order (default: the matrix's
+domain order).  Both return eigenvectors with det(V) = +1.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
 
-from . import puiseux
 from .errors import (
     DegenerateLeadingSpectrum,
     DomainError,
@@ -26,7 +29,7 @@ from .errors import (
     SingularMatrix,
     UnsolvableSpectrum,
 )
-from .puiseux import PuiseuxScalar
+from .puiseux import DEFAULT_REL_ORDER, PuiseuxScalar
 from .tower import TowerScalar
 from .tower import sqrt_positive as tower_sqrt
 
@@ -87,8 +90,14 @@ class _TowerDomain(ScalarDomain):
         return tower_sqrt(s)
 
 
-class _PuiseuxDomain(ScalarDomain):
+class PuiseuxDomain(ScalarDomain):
+    """The Puiseux field at one relative truncation order: invert and
+    sqrt_positive work to `order` exponent units below the leading term."""
+
     name = "puiseux"
+
+    def __init__(self, order=DEFAULT_REL_ORDER):
+        self.order = F(order)
 
     def coerce(self, x):
         return PuiseuxScalar.coerce(x)
@@ -103,14 +112,14 @@ class _PuiseuxDomain(ScalarDomain):
         return s.sign()
 
     def invert(self, s):
-        return s.invert()
+        return s.invert(self.order)
 
     def sqrt_positive(self, s):
-        return s.sqrt_positive()
+        return s.sqrt_positive(self.order)
 
 
 TOWER = _TowerDomain()
-PUISEUX = _PuiseuxDomain()
+PUISEUX = PuiseuxDomain()
 
 
 class Matrix:
@@ -151,7 +160,7 @@ class Matrix:
 
     def to_puiseux(self) -> "Matrix":
         """Constant embedding of a tower matrix into the Puiseux field."""
-        if self.domain is PUISEUX:
+        if self.domain is not TOWER:
             return self
         return Matrix(PUISEUX, [[PuiseuxScalar.constant(x) for x in r] for r in self.data])
 
@@ -546,20 +555,28 @@ def sym_eigen_tower(s: Matrix):
         norm2 = _dot(v, v, TOWER)
         inv_norm = tower_sqrt(norm2).inv()
         v = [x * inv_norm for x in v]
-        for x in v:
+        cols.append(_orient(v))
+    return lams, _special_orthogonal(cols, TOWER)
+
+
+def _orient(v):
+    """v or -v, whichever has its first entry of known nonzero sign positive."""
+    for x in v:
+        try:
             sgn = x.sign()
-            if sgn:
-                if sgn < 0:
-                    v = [-y for y in v]
-                break
-        cols.append(v)
-    vmat = Matrix(TOWER, list(zip(*cols)))
-    if det(vmat).sign() < 0:
-        flipped = [list(r) for r in vmat.data]
-        for i in range(n):
-            flipped[i][-1] = -flipped[i][-1]
-        vmat = Matrix(TOWER, flipped)
-    return lams, vmat
+        except IndeterminateSign:
+            continue
+        if sgn:
+            return v if sgn > 0 else [-y for y in v]
+    return v
+
+
+def _special_orthogonal(cols, domain) -> Matrix:
+    """The matrix with these orthonormal columns, the last one negated when
+    that is what gives it determinant +1."""
+    if domain.sign(det(Matrix(domain, list(zip(*cols))))) < 0:
+        cols[-1] = [-x for x in cols[-1]]
+    return Matrix(domain, list(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +683,12 @@ def _adjugate(m: Matrix) -> Matrix:
 
 def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
     """Eigen series of a symmetric Puiseux matrix whose leading spectrum is
-    simple, refined to the given relative order (default
-    puiseux.DEFAULT_REL_ORDER)."""
+    simple, refined to the given relative order (default: the order of
+    s.domain).  The eigenvectors are the columns of V, det(V) = +1."""
+    if s.domain is TOWER:
+        raise DomainError("sym_eigen_lift needs a Puiseux matrix; use sym_eigen_tower")
     _check_symmetric(s)
-    order = F(order) if order is not None else puiseux.DEFAULT_REL_ORDER
+    order = F(order) if order is not None else s.domain.order
     n = s.nrows
     coeffs = char_poly(s)
     branches = _newton_polygon_branches(coeffs)
@@ -692,12 +711,12 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
     lams.sort(key=_exact_key, reverse=True)
     cols = []
     for lam in lams:
-        shifted = s - Matrix.identity(n, PUISEUX) * lam
+        shifted = s - Matrix.identity(n, s.domain) * lam
         adj = _adjugate(shifted)
         chosen = None
         for j in range(n):
             v = [adj.data[i][j] for i in range(n)]
-            norm2 = _dot(v, v, PUISEUX)
+            norm2 = _dot(v, v, s.domain)
             try:
                 if norm2.sign() == 1:
                     chosen = (v, norm2)
@@ -709,15 +728,5 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
         v, norm2 = chosen
         inv_norm = norm2.sqrt_positive(order).invert(order)
         v = [x * inv_norm for x in v]
-        for x in v:
-            try:
-                sgn = x.sign()
-            except IndeterminateSign:
-                continue
-            if sgn:
-                if sgn < 0:
-                    v = [-y for y in v]
-                break
-        cols.append(v)
-    vmat = Matrix(PUISEUX, list(zip(*cols)))
-    return SymEigenLift(lams, vmat, order)
+        cols.append(_orient(v))
+    return SymEigenLift(lams, _special_orthogonal(cols, s.domain), order)

@@ -11,7 +11,10 @@ Matrices: rows separated by ";" or newlines, entries by ",".  Parsing
 evaluates directly to exact values; printing any value re-parses to an
 equal value.  "X" and "O" are only admitted in the Puiseux field;
 O(X^(e)) is the truncation marker of a truncated value, zero with every
-term below X^(e) unknown.
+term below X^(e) unknown.  The field is a name ("tower", "puiseux") or a
+ScalarDomain; "/" and sqrt(...) over the Puiseux field work to the
+domain's truncation order, so sqrt(X^(20) + 2*X^(10) + 1) is the exact
+X^(10) + 1 at order 12 but truncated at the default order 8.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .linalg import Matrix, PUISEUX, TOWER
+from .linalg import Matrix, PUISEUX, TOWER, ScalarDomain
 from .puiseux import PuiseuxScalar
-from .tower import TowerScalar, sqrt_positive as tower_sqrt
 
 F = Fraction
 
@@ -89,22 +91,10 @@ class _Tokens:
 
 
 class _Grammar:
-    def __init__(self, field: str):
-        if field not in ("tower", "puiseux"):
+    def __init__(self, field: str | ScalarDomain):
+        self.domain = {"tower": TOWER, "puiseux": PUISEUX}.get(field, field)
+        if not isinstance(self.domain, ScalarDomain):
             raise ParseError(f"unknown field {field!r}")
-        self.field = field
-
-    # -- value helpers -------------------------------------------------------
-
-    def from_fraction(self, q):
-        if self.field == "tower":
-            return TowerScalar.from_fraction(q)
-        return PuiseuxScalar.constant(q)
-
-    def sqrt(self, v):
-        if self.field == "tower":
-            return tower_sqrt(v)
-        return v.sqrt_positive()
 
     # -- productions ---------------------------------------------------------
 
@@ -133,14 +123,14 @@ class _Grammar:
             if kind == "sym" and value in ("*", "/"):
                 toks.next()
                 rhs = self.factor(toks)
-                total = total * rhs if value == "*" else total / rhs
+                total = total * (rhs if value == "*" else self.domain.invert(rhs))
             else:
                 return total
 
     def factor(self, toks: _Tokens):
         kind, value, line, col = toks.peek()
         if kind == "int":
-            return self.from_fraction(self.rational(toks))
+            return self.domain.coerce(self.rational(toks))
         if kind == "sym" and value == "(":
             toks.next()
             inner = self.scalar(toks)
@@ -151,9 +141,9 @@ class _Grammar:
             toks.expect_sym("(")
             inner = self.scalar(toks)
             toks.expect_sym(")")
-            return self.sqrt(inner)
+            return self.domain.sqrt_positive(inner)
         if kind == "name" and value in ("X", "O"):
-            if self.field != "puiseux":
+            if self.domain is TOWER:
                 raise ParseError(f"{value} is only available in the puiseux field", line, col)
             if value == "X":
                 return PuiseuxScalar.monomial(1, self.power(toks))
@@ -202,7 +192,7 @@ class _Grammar:
         return F(sign * num)
 
 
-def parse_scalar(text: str, field: str = "tower"):
+def parse_scalar(text: str, field: str | ScalarDomain = "tower"):
     toks = _Tokens(text)
     value = _Grammar(field).scalar(toks)
     if toks.peek()[0] != "eof":
@@ -210,7 +200,7 @@ def parse_scalar(text: str, field: str = "tower"):
     return value
 
 
-def parse_matrix(text: str, field: str = "tower") -> Matrix:
+def parse_matrix(text: str, field: str | ScalarDomain = "tower") -> Matrix:
     rows = []
     grammar = _Grammar(field)
     line_no = 0
@@ -232,7 +222,7 @@ def parse_matrix(text: str, field: str = "tower") -> Matrix:
         raise ParseError("empty matrix")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("ragged matrix rows")
-    return Matrix(TOWER if field == "tower" else PUISEUX, rows)
+    return Matrix(grammar.domain, rows)
 
 
 def print_matrix(m: Matrix) -> str:

@@ -14,8 +14,11 @@ sources.
 
 Truncation is tracked per value.  Operations that must choose a working
 order (invert, sqrt_positive, eigen-lifting downstream) take a relative
-order parameter defaulting to DEFAULT_REL_ORDER = 8 exponent units below
-the leading term.
+order parameter, in exponent units below the leading term.  Matrices carry
+theirs in their scalar domain (linalg.PuiseuxDomain(order)); the default,
+DEFAULT_REL_ORDER = 8, is a constant that nothing in rcg writes.  The
+series of invert and sqrt_positive keep an input's tail: a power of the
+normalised remainder that is only a tail ends the sum and bounds it.
 """
 
 from __future__ import annotations
@@ -233,9 +236,9 @@ class PuiseuxScalar:
         power = PuiseuxScalar.constant(1)
         while True:
             power = (power * t).truncate_below(cutoff)
-            if not power.terms:
-                break
             total = total + power
+            if not power.terms:
+                break  # a tail-only power: every later one lies below it
         total = total.truncate_below(cutoff)
         return total * PuiseuxScalar.monomial(c0inv, -e0)
 
@@ -270,9 +273,9 @@ class PuiseuxScalar:
             k += 1
             binom = binom * (F(1, 2) - (k - 1)) / k
             power = (power * t).truncate_below(cutoff)
-            if not power.terms:
-                break
             total = total + PuiseuxScalar.constant(binom) * power
+            if not power.terms:
+                break  # a tail-only power: every later one lies below it
         total = total.truncate_below(cutoff)
         result = total * PuiseuxScalar.monomial(root0, e0 / 2)
         if self.tail is None:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 
 from .errors import InternalError, UnsupportedType
+from .linalg import Matrix, det
 
 F = Fraction
 
@@ -227,6 +228,26 @@ def weyl(rs: RootSystem) -> WeylGroup:
         if {e.apply(r) for r in roots} != roots:
             raise InternalError("a Weyl group element does not permute the roots")
     return WeylGroup(rs, elements, gens)
+
+
+def weyl_order(rs: RootSystem) -> int:
+    """|W| without enumerating W: r! * det(C) * the product of the
+    highest root's simple-root coefficients, C the Cartan matrix (Bourbaki,
+    Lie groups and Lie algebras, ch. VI, section 2).  The formula holds for
+    an irreducible system, i.e. a connected Dynkin diagram."""
+    r = rs.rank
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(r):
+            if rs.gram[i][j] and j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    if len(reached) != r:
+        raise UnsupportedType(f"weyl_order needs an irreducible root system, not {rs.name}")
+    cartan = [[2 * rs.gram[i][j] / rs.gram[j][j] for j in range(r)] for i in range(r)]
+    highest = max(rs.positive_roots, key=sum)
+    return int(factorial(r) * det(Matrix.tower(cartan)).as_fraction() * prod(highest))
 
 
 # ---------------------------------------------------------------------------

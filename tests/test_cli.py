@@ -423,3 +423,70 @@ def test_cli_puiseux_output_reparses_to_the_printed_values(tmp_path, argv, decom
         assert parse_scalar(text, "puiseux") == value
     if decompose is not bruhat:
         assert any("O(X^(" in text for text in printed)
+
+
+# ---------------------------------------------------------------------------
+# the truncation order lives in the run's PuiseuxDomain, not in a global
+
+def test_cli_trunc_writes_no_module_state(tmp_path, monkeypatch):
+    seen = []
+
+    def recording_bruhat(g):
+        seen.append(rcg.puiseux.DEFAULT_REL_ORDER)
+        seen.append(g.mat.domain.order)
+        return bruhat(g)
+
+    monkeypatch.setattr(rcg.cli, "bruhat", recording_bruhat)
+    code, _, err = run_cli(
+        ["--field", "puiseux", "--trunc", "6", "bruhat"],
+        files={"g.mat": "X, 0; 1, X^(-1)"}, tmp_path=tmp_path,
+    )
+    assert code == 0, err
+    assert seen == [8, 6]
+
+
+def test_cli_trunc_reaches_parse_time_roots(tmp_path):
+    # sqrt(X^20 + 2 X^10 + 1) = X^10 + 1 needs order 10 to close exactly
+    files = {"g.mat": "sqrt(X^(20) + 2*X^(10) + 1), X^(10); 1, 1"}
+    code, out, err = run_cli(
+        ["--field", "puiseux", "--trunc", "12", "bruhat"], files=files, tmp_path=tmp_path
+    )
+    assert code == 0, err
+    assert out.startswith("b1:\n  1, X^(10) + 1\n")
+    code, _, err = run_cli(["--field", "puiseux", "bruhat"], files=files, tmp_path=tmp_path)
+    assert code == 2 and "must be exact" in err
+
+
+# ---------------------------------------------------------------------------
+# command-line usage errors are parse errors
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--trunc", "-3/2", "bruhat", "g.mat"], "argument --trunc: expected one argument"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["roots"], "the following arguments are required: --type"),
+    ],
+    ids=["trunc-looks-like-a-flag", "no-verb", "unknown-verb", "missing-option"],
+)
+def test_cli_usage_error_is_a_parse_error(argv, message, capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out=out, err=err) == 1
+    assert err.getvalue().startswith("parse error: ") and message in err.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_python_m_rcg_cli_usage_error_exits_1():
+    env = dict(os.environ, PYTHONPATH=str(Path(rcg.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "rcg.cli", "bogus"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("parse error: ") and done.stdout == ""
+
+
+def test_cli_roots_a9_without_enumerating_the_weyl_group():
+    code, out, err = run_cli(["--format", "json", "roots", "--type", "A9"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["weyl_order"] == 3628800 and len(payload["roots"]) == 90

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import rcg.puiseux
 from rcg.decomp import (
     KAKResult,
     a_component,
@@ -14,7 +15,7 @@ from rcg.decomp import (
     kak_uniqueness_check,
 )
 from rcg.errors import RepeatedEigenvalue
-from rcg.linalg import Matrix, det
+from rcg.linalg import Matrix, PuiseuxDomain, det
 from rcg.puiseux import PuiseuxScalar, X
 from rcg.slgroup import (
     GroupElement,
@@ -159,6 +160,35 @@ def test_kau_puiseux_series_input():
     _known_zero_matrix((res.k * res.a * res.u).mat - g.mat)
     res2 = iwasawa_uak(g)
     _known_zero_matrix((res2.u * res2.a * res2.k).mat - g.mat)
+
+
+def test_kau_keeps_a_tail_only_power():
+    # the SL2 input whose KAU once failed with a bogus "determinant is
+    # 1 + 1/128*X^(-6) + O(X^(-8)), not 1": a series loop dropped a power
+    # made only of a tail
+    c = mono(F(1, 4), 0)
+    g = GroupElement.puiseux([
+        [mono(2, 3), mono(2, 3)],
+        [c - mono(F(1, 2), -3) - mono(F(3, 4), -6), c - mono(F(3, 4), -6)],
+    ])
+    res = iwasawa_kau(g)
+    res.certify(g)
+    assert member_A(res.a) and member_U(res.u)
+
+
+def test_domain_order_is_the_working_order():
+    rows = [[X, 0], [1, X.invert()]]
+    deep = GroupElement(Matrix(PuiseuxDomain(12), rows))
+    res = iwasawa_kau(deep)
+    res.certify(deep)
+    assert "O(X^(-12))" in str(res.k.mat)
+    assert "O(X^(-12))" not in str(iwasawa_kau(GroupElement.puiseux(rows)).k.mat)
+    assert rcg.puiseux.DEFAULT_REL_ORDER == 8
+    # cartan_kak's order keyword and the domain's order agree
+    by_keyword = cartan_kak(GroupElement.puiseux(rows), order=12)
+    by_domain = cartan_kak(deep)
+    for name, factor in by_domain.factors().items():
+        assert str(factor.mat) == str(by_keyword.factors()[name].mat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,24 @@
-"""No invariant of the library rests on `assert`, which `python -O` strips,
-or on a bare AssertionError, which escapes the CLI as a traceback: every
-check in src/rcg raises a typed RcgError."""
+"""Invariants of the library's source, checked by scanning its AST.
+
+No invariant rests on `assert`, which `python -O` strips, or on a bare
+AssertionError, which escapes the CLI as a traceback: every check in
+src/rcg raises a typed RcgError.  And no call mutates process-wide state:
+src/rcg has no `global` statement and never assigns to an attribute of a
+module it imported (a working order travels in a ScalarDomain instead)."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import rcg
+
+PACKAGE = Path(rcg.__file__).resolve().parent
+
+
+def _sources():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
 
 
 def _raises_assertion_error(node) -> bool:
@@ -16,11 +29,49 @@ def _raises_assertion_error(node) -> bool:
 
 
 def test_no_assert_statements_in_the_library():
-    package = Path(rcg.__file__).resolve().parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for path, tree in _sources()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
+    assert found == []
+
+
+def _module_names(path) -> set:
+    """The names that the module at `path` binds to modules."""
+    name = "rcg" if path.stem == "__init__" else f"rcg.{path.stem}"
+    module = importlib.import_module(name)
+    return {k for k, v in vars(module).items() if isinstance(v, types.ModuleType)}
+
+
+def _targets(node):
+    """The targets an assignment or del statement writes, unpacked."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        todo = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        todo = [node.target]
+    else:
+        return
+    while todo:
+        target = todo.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            todo.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            todo.append(target.value)
+        else:
+            yield target
+
+
+def test_no_process_wide_writes_in_the_library():
+    found = []
+    for path, tree in _sources():
+        modules = _module_names(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno}: global {', '.join(node.names)}")
+            for target in _targets(node):
+                if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                        and target.value.id in modules):
+                    found.append(f"{path.name}:{node.lineno}: writes {target.value.id}.{target.attr}")
     assert found == []

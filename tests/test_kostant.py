@@ -51,6 +51,13 @@ def test_kostant_chars_derivation():
     assert kostant_chars(4) == [(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)]
 
 
+def test_kostant_chars_hands_out_a_copy():
+    kostant_chars(3).clear()
+    kostant_chars(3).append((0, 0, 1))
+    assert kostant_chars(3) == [(1, 0, 0), (1, 1, 0)]
+    assert not kostant_member(chamber(8, 1, F(1, 8)), chamber(2, 1, F(1, 2)))
+
+
 def test_char_values_identity():
     ident = chamber(1, 1, 1)
     for vec in kostant_chars(3):

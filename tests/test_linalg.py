@@ -11,6 +11,7 @@ from rcg.errors import (
     UnsolvableSpectrum,
 )
 from rcg.linalg import (
+    PUISEUX,
     Matrix,
     char_poly,
     det,
@@ -193,6 +194,15 @@ def test_sym_eigen_lift_worked():
             _assert_known_zero(res)
         norm = col[0] * col[0] + col[1] * col[1] - 1
         _assert_known_zero(norm)
+
+
+def test_sym_eigen_lift_eigenvectors_have_det_one():
+    # descending eigenvalues X^2, 1 put e2 before e1: the raw basis has det -1
+    lift = sym_eigen_lift(Matrix.puiseux([[1, 0], [0, X * X]]))
+    assert PUISEUX.vanishes(det(lift.eigenvectors) - 1)
+    assert lift.certified_order == 8
+    with pytest.raises(DomainError, match="needs a Puiseux matrix"):
+        sym_eigen_lift(Matrix.tower([[2, 1], [1, 1]]))
 
 
 def test_sym_eigen_lift_degenerate():

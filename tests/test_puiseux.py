@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcg.errors import IndeterminateSign, NotPositive, UnsupportedExponent
 from rcg.puiseux import X, PuiseuxScalar, invert, sign, specialize, sqrt_positive
@@ -180,3 +182,49 @@ def test_printing():
     assert str(v) == "3/2*X^(1/2) + sqrt(2) - 2*X^(-1)"
     assert str(P([(1, 1)], tail=-2)) == "X + O(X^(-2))"
     assert str(P(())) == "0"
+
+
+# ---------------------------------------------------------------------------
+# the series loops keep an input's tail
+
+def test_tail_only_power_is_kept():
+    a = P(((0, 1),), tail=-2)  # 1 + O(X^(-2))
+    assert a.invert() == P(((0, 1),), tail=-2)
+    assert a.sqrt_positive() == P(((0, 1),), tail=-2)
+    # a lead term at its own tail: the remainder is all tail and never shrinks
+    at_tail = P(((0, 1),), tail=0)
+    assert at_tail.invert() == at_tail
+    assert at_tail.sqrt_positive() == at_tail
+
+
+@st.composite
+def truncated_and_completion(draw):
+    """(a, b, q): a positive series with a tail, an exact b that agrees
+    with a above that tail, and a working order q."""
+    lead = F(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2])))
+    coeff = st.fractions(-4, 4, max_denominator=3)
+    drops = st.sampled_from([F(k, 2) for k in range(1, 17)])
+    terms = [(lead, draw(st.fractions(F(1, 3), 4, max_denominator=3)))]
+    terms += [(lead - d, draw(coeff)) for d in draw(st.lists(drops, max_size=4))]
+    tail = lead - draw(drops)
+    a = P(terms, tail)
+    below = st.sampled_from([F(k, 2) for k in range(1, 9)])
+    extra = [(tail - d, draw(coeff)) for d in draw(st.lists(below, max_size=3))]
+    b = P(a.terms + tuple(extra))
+    return a, b, F(draw(st.integers(1, 10)))
+
+
+def _claims_only_known_terms(claimed, truth):
+    """Every term claimed above claimed's tail is truth's term there."""
+    assert truth.tail is None or truth.tail <= claimed.tail
+    exponents = {e for e, _ in claimed.terms + truth.terms if e >= claimed.tail}
+    for e in exponents:
+        assert claimed.coefficient(e) == truth.coefficient(e), e
+
+
+@settings(max_examples=300, deadline=None)
+@given(truncated_and_completion())
+def test_invert_and_sqrt_claim_only_known_terms(case):
+    a, b, q = case
+    _claims_only_known_terms(a.invert(q), b.invert(2 * q))
+    _claims_only_known_terms(a.sqrt_positive(q), b.sqrt_positive(2 * q))

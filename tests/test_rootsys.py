@@ -12,7 +12,9 @@ from rcg.rootsys import (
     eta_plus_expansion,
     WeylGroup,
     gamma_coefficients,
+    RootSystem,
     weyl,
+    weyl_order,
 )
 
 F = Fraction
@@ -138,3 +140,14 @@ def test_weyl_compose_outside_the_group_is_an_internal_error():
     partial = WeylGroup(w.system, [s1, s2], w.generators)
     with pytest.raises(InternalError, match="Weyl group not closed"):
         partial.compose(s1, s2)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "G2"])
+def test_weyl_order_formula_matches_enumeration(name):
+    rs = build(name)
+    assert weyl_order(rs) == len(weyl(rs))
+
+
+def test_weyl_order_needs_an_irreducible_system():
+    with pytest.raises(UnsupportedType, match="irreducible"):
+        weyl_order(RootSystem("A1xA1", [[2, 0], [0, 2]]))
