@@ -12,6 +12,7 @@ number or an input file that is not UTF-8), 2 domain error (also a shape
 mismatch, a --trunc <= 0 or a truncated O(X^(e)) input entry), 3
 indeterminate truncation, 4 internal error (a result failed its own check,
 or another RcgError such as NoRelatingElement or PrecisionExhausted).
+--help writes the usage to the output stream and exits 0.
 
     python -m rcg.cli cartan g.mat
 """
@@ -153,12 +154,25 @@ def _cmd_roots(args, out) -> None:
     _emit(args, payload, out)
 
 
+class _HelpRequested(Exception):
+    """--help was given; args[0] is the help text, which run writes to its
+    out stream."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a command-line usage error as a ParseError (exit 1) instead
-    of printing usage and raising SystemExit(2)."""
+    of printing usage and raising SystemExit(2), and hands the text of
+    --help to run instead of printing it to sys.stdout and raising
+    SystemExit(0)."""
 
     def error(self, message):
         raise ParseError(message)
+
+    def print_help(self, file=None):
+        if file is not None:
+            super().print_help(file)
+            return
+        raise _HelpRequested(self.format_help())
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -220,6 +234,9 @@ def run(argv, out=sys.stdout, err=sys.stderr) -> int:
         order = _truncation_order(args.trunc)
         args.domain = TOWER if args.field == "tower" else PuiseuxDomain(order)
         _COMMANDS[args.command](args, out)
+        return 0
+    except _HelpRequested as exc:
+        out.write(exc.args[0])
         return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=err)

@@ -13,6 +13,22 @@ quadratic splitting, so 2x2 always works), sym_eigen_lift solves the
 leading-order problem of a Puiseux matrix and refines the branches by
 Newton iteration to a requested relative order (default: the matrix's
 domain order).  Both return eigenvectors with det(V) = +1.
+
+The rational kernel.  A tower scalar of depth 0 is a Fraction, and the
+nilpotent calculus on rational input meets no others.  The Matrix
+operations (products, sums, differences, scalings, trace, char_poly, and
+through _eliminate rank, kernel, solve, inverse and det from 4x4 on) lower
+their operands once with _lower: when every entry of every operand has
+depth 0, the operation runs its one generic body over _Q, a private domain
+of plain Fractions, and _lift wraps the results back into depth-0
+TowerScalars without coercing them again.  The choice depends only on the
+input: an operand with a radical, and every Puiseux matrix, runs the same
+body over its own domain and scalars.  A product over _Q scales each row of
+the left factor and each column of the right one to integers by the lcm of
+its denominators, so each result entry is one integer inner product and one
+Fraction.  Every Fraction sum and product normalises by a gcd, so an inner
+product over Fractions pays two per term; on dense 5x5 matrices of small
+rationals it took about eight times as long.
 """
 
 from __future__ import annotations
@@ -20,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
+from operator import mul
 
 from .errors import (
     DegenerateLeadingSpectrum,
@@ -30,7 +47,7 @@ from .errors import (
     UnsolvableSpectrum,
 )
 from .puiseux import DEFAULT_REL_ORDER, PuiseuxScalar
-from .tower import TowerScalar
+from .tower import _QQ, TowerScalar
 from .tower import sqrt_positive as tower_sqrt
 
 F = Fraction
@@ -118,8 +135,24 @@ class PuiseuxDomain(ScalarDomain):
         return s.sqrt_positive(self.order)
 
 
+class _RationalDomain(ScalarDomain):
+    """Q as plain Fractions: the domain that a tower matrix of depth-0
+    entries is lowered to.  No Matrix carries it, and it has only the
+    operations that elimination needs."""
+
+    def coerce(self, x):
+        return Fraction(x)
+
+    def is_zero(self, q):
+        return not q
+
+    def invert(self, q):
+        return 1 / q
+
+
 TOWER = _TowerDomain()
 PUISEUX = PuiseuxDomain()
+_Q = _RationalDomain()
 
 
 class Matrix:
@@ -183,10 +216,8 @@ class Matrix:
         return Matrix(self.domain, list(zip(*self.data)))
 
     def trace(self):
-        t = self.domain.zero
-        for i in range(self.nrows):
-            t = t + self.data[i][i]
-        return t
+        domain, rows = _lower(self)
+        return _lift_scalar(domain, _trace(domain, rows))
 
     def submatrix(self, drop_row: int, drop_col: int) -> "Matrix":
         return Matrix(
@@ -201,23 +232,21 @@ class Matrix:
     # -- arithmetic ------------------------------------------------------------
 
     def _same_shape(self, other):
+        """Both operands lowered together; DomainError unless same shape."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DomainError(
                 f"shape mismatch: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}"
             )
-        return zip(self.data, other.data)
+        domain, a, b = _lower_pair(self, other)
+        return domain, zip(a, b)
 
     def __add__(self, other):
-        return Matrix(
-            self.domain,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in self._same_shape(other)],
-        )
+        domain, pairs = self._same_shape(other)
+        return _lift(domain, [[a + b for a, b in zip(r1, r2)] for r1, r2 in pairs])
 
     def __sub__(self, other):
-        return Matrix(
-            self.domain,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in self._same_shape(other)],
-        )
+        domain, pairs = self._same_shape(other)
+        return _lift(domain, [[a - b for a, b in zip(r1, r2)] for r1, r2 in pairs])
 
     def __neg__(self):
         return Matrix(self.domain, [[-a for a in r] for r in self.data])
@@ -226,20 +255,14 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DomainError("dimension mismatch")
-            cols = list(zip(*other.data))
-            return Matrix(
-                self.domain,
-                [
-                    [_dot(row, col, self.domain) for col in cols]
-                    for row in self.data
-                ],
-            )
-        s = self.domain.coerce(other)
-        return Matrix(self.domain, [[a * s for a in r] for r in self.data])
+            domain, a, b = _lower_pair(self, other)
+            return _lift(domain, _product(domain, a, b))
+        domain, rows, s = _lower_scalar(self, other)
+        return _lift(domain, [[a * s for a in r] for r in rows])
 
     def __rmul__(self, other):
-        s = self.domain.coerce(other)
-        return Matrix(self.domain, [[s * a for a in r] for r in self.data])
+        domain, rows, s = _lower_scalar(self, other)
+        return _lift(domain, [[s * a for a in r] for r in rows])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -264,6 +287,86 @@ def _dot(u, v, domain):
     for a, b in zip(u, v):
         acc = acc + a * b
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the lowering seam
+
+def _lower(m: Matrix):
+    """(_Q, rows of Fractions) when m is a tower matrix whose entries all
+    have depth 0 (a single coordinate), else (m.domain, m.data)."""
+    if m.domain is TOWER and all(len(x.coeffs) == 1 for row in m.data for x in row):
+        return _Q, [[x.coeffs[0] for x in row] for row in m.data]
+    return m.domain, m.data
+
+
+def _lower_pair(a: Matrix, b: Matrix):
+    """(domain, rows of a, rows of b): over _Q only when both lower."""
+    domain, ra = _lower(a)
+    if domain is _Q:
+        db, rb = _lower(b)
+        if db is _Q:
+            return _Q, ra, rb
+    return a.domain, a.data, b.data
+
+
+def _lower_scalar(m: Matrix, s):
+    """(domain, rows of m, s): over _Q when m lowers and s is an int, a
+    Fraction or a depth-0 tower scalar."""
+    domain, rows = _lower(m)
+    if domain is _Q:
+        if isinstance(s, TowerScalar) and len(s.coeffs) == 1:
+            return _Q, rows, s.coeffs[0]
+        if isinstance(s, (int, Fraction)):
+            return _Q, rows, Fraction(s)
+    return m.domain, m.data, m.domain.coerce(s)
+
+
+def _lift(domain, rows) -> Matrix:
+    """The Matrix of rows computed in `domain`; rows over _Q become depth-0
+    TowerScalars directly."""
+    if domain is not _Q:
+        return Matrix(domain, rows)
+    m = object.__new__(Matrix)
+    m.domain = TOWER
+    m.data = tuple(tuple(TowerScalar(_QQ, (q,)) for q in row) for row in rows)
+    m.nrows = len(m.data)
+    m.ncols = len(m.data[0])
+    return m
+
+
+def _lift_scalar(domain, x):
+    return TowerScalar(_QQ, (x,)) if domain is _Q else x
+
+
+def _trace(domain, rows):
+    t = domain.zero
+    for i in range(len(rows)):
+        t = t + rows[i][i]
+    return t
+
+
+def _product(domain, a, b):
+    """Rows of the matrix product a b over `domain`.  Over _Q each row of a
+    and each column of b is scaled to integers by the lcm of its
+    denominators; each entry is then one integer inner product and one
+    Fraction."""
+    if domain is not _Q:
+        cols = list(zip(*b))
+        return [[_dot(row, col, domain) for col in cols] for row in a]
+    rows = [_integer_scaled(r) for r in a]
+    cols = [_integer_scaled(c) for c in zip(*b)]
+    return [
+        [Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols]
+        for r, dr in rows
+    ]
+
+
+def _integer_scaled(fracs):
+    """(integers, d) with integers = d * fracs and d the lcm of the
+    denominators."""
+    d = lcm(*[q.denominator for q in fracs])
+    return [q.numerator * (d // q.denominator) for q in fracs], d
 
 
 #: sort key for exact scalars of one field: compares by the sign of a - b
@@ -292,19 +395,20 @@ def _find_pivot(column, start, domain):
     return None
 
 
-def _eliminate(m: Matrix, rhs=None):
-    """Row echelon form by exact division.  Returns (rows, pivots, det_sign,
-    rhs_rows).  rhs, when given, is a Matrix transformed alongside."""
-    domain = m.domain
-    rows = [list(r) for r in m.data]
-    rrows = [list(r) for r in rhs.data] if rhs is not None else None
+def _eliminate(domain, m_rows, rhs_rows=None):
+    """Row echelon form by exact division over `domain`.  Returns (rows,
+    pivots, det_sign, rhs_rows); rhs_rows, when given, are transformed
+    alongside."""
+    rows = [list(r) for r in m_rows]
+    rrows = [list(r) for r in rhs_rows] if rhs_rows is not None else None
+    nrows, ncols = len(rows), len(rows[0])
     pivots = []
     det_sign = 1
     pr = 0
-    for pc in range(m.ncols):
-        if pr >= m.nrows:
+    for pc in range(ncols):
+        if pr >= nrows:
             break
-        col = [rows[i][pc] for i in range(m.nrows)]
+        col = [rows[i][pc] for i in range(nrows)]
         idx = _find_pivot(col, pr, domain)
         if idx is None:
             continue
@@ -314,7 +418,7 @@ def _eliminate(m: Matrix, rhs=None):
                 rrows[pr], rrows[idx] = rrows[idx], rrows[pr]
             det_sign = -det_sign
         inv = domain.invert(rows[pr][pc])
-        for i in range(pr + 1, m.nrows):
+        for i in range(pr + 1, nrows):
             factor = rows[i][pc] * inv
             try:
                 skip = domain.is_zero(factor)
@@ -331,7 +435,7 @@ def _eliminate(m: Matrix, rhs=None):
 
 
 def rank(m: Matrix) -> int:
-    _, pivots, _, _ = _eliminate(m)
+    _, pivots, _, _ = _eliminate(*_lower(m))
     return len(pivots)
 
 
@@ -344,18 +448,25 @@ def det(m: Matrix):
     Gaussian elimination (_eliminate), polynomial in n.  A Puiseux matrix
     always takes the cofactor expansion, at any size: it never divides and
     never tests a truncated entry for zero, so tails propagate into the
-    result instead of blocking a pivot."""
+    result instead of blocking a pivot.
+
+    From 4x4 on, a tower matrix whose entries all have depth 0 is
+    eliminated on plain Fractions (the rational kernel of this module), and
+    the result is a depth-0 TowerScalar.  The closed forms keep the scalars
+    as given: they cost at most a dozen products, so lowering saves them
+    little."""
     if not m.is_square():
         raise DomainError("determinant of a non-square matrix")
     if m.domain is not TOWER or m.nrows <= 3:
         return _det_rows(m.data, m.domain)
-    rows, pivots, det_sign, _ = _eliminate(m)
+    domain, rows = _lower(m)
+    rows, pivots, det_sign, _ = _eliminate(domain, rows)
     if len(pivots) < m.nrows:
-        return m.domain.zero
+        return _lift_scalar(domain, domain.zero)
     out = rows[0][0]
     for i in range(1, m.nrows):
         out = out * rows[i][i]
-    return out if det_sign > 0 else -out
+    return _lift_scalar(domain, out if det_sign > 0 else -out)
 
 
 def _det_rows(rows, domain):
@@ -383,8 +494,8 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix:
     """Solve m x = rhs exactly.  SingularMatrix on rank deficiency."""
     if not m.is_square() or rhs.nrows != m.nrows:
         raise DomainError("dimension mismatch")
-    domain = m.domain
-    rows, pivots, _, rrows = _eliminate(m, rhs)
+    domain, rows, rrows = _lower_pair(m, rhs)
+    rows, pivots, _, rrows = _eliminate(domain, rows, rrows)
     if len(pivots) < m.nrows:
         raise SingularMatrix("rank-deficient system")
     n = m.nrows
@@ -397,7 +508,7 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix:
             for j in range(pc + 1, n):
                 acc = acc - rows[pr][j] * sol[j][c]
             sol[pc][c] = acc * inv
-    return Matrix(domain, sol)
+    return _lift(domain, sol)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -406,8 +517,8 @@ def inverse(m: Matrix) -> Matrix:
 
 def kernel(m: Matrix) -> list:
     """Basis of the right kernel, as a list of column tuples."""
-    domain = m.domain
-    rows, pivots, _, _ = _eliminate(m)
+    domain, rows = _lower(m)
+    rows, pivots, _, _ = _eliminate(domain, rows)
     pivot_cols = [pc for _, pc in pivots]
     free_cols = [c for c in range(m.ncols) if c not in pivot_cols]
     basis = []
@@ -420,7 +531,7 @@ def kernel(m: Matrix) -> list:
                 if j > pc:
                     acc = acc + rows[pr][j] * v[j]
             v[pc] = -acc * domain.invert(rows[pr][pc])
-        basis.append(tuple(v))
+        basis.append(tuple(_lift_scalar(domain, x) for x in v))
     return basis
 
 
@@ -431,15 +542,17 @@ def char_poly(m: Matrix) -> list:
     if not m.is_square():
         raise DomainError("char_poly of a non-square matrix")
     n = m.nrows
-    domain = m.domain
+    domain, rows = _lower(m)
+    identity = [[domain.one if i == j else domain.zero for j in range(n)] for i in range(n)]
     coeffs = [domain.one]
-    mk = m
+    mk = rows
     for k in range(1, n + 1):
-        ck = mk.trace() * F(-1, k)
+        ck = _trace(domain, mk) * F(-1, k)
         coeffs.append(ck)
         if k < n:
-            mk = m * (mk + Matrix.identity(n, domain) * ck)
-    return coeffs
+            shifted = [[a + e * ck for a, e in zip(r, u)] for r, u in zip(mk, identity)]
+            mk = _product(domain, rows, shifted)
+    return [_lift_scalar(domain, c) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------

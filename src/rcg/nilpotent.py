@@ -101,13 +101,6 @@ def bch(x: Matrix, y: Matrix) -> Matrix:
     return log_unipotent(exp_nilpotent(x) * exp_nilpotent(y))
 
 
-def _nested_bracket(letters):
-    acc = letters[-1]
-    for m in letters[-2::-1]:
-        acc = commutator(m, acc)
-    return acc
-
-
 def _pair_sequences(n_pairs, budget):
     """All sequences of n_pairs pairs (r, s) != (0, 0) with total letter
     count <= budget."""
@@ -125,21 +118,38 @@ def _pair_sequences(n_pairs, budget):
 
 def bch_series_terms(x: Matrix, y: Matrix, max_degree: int) -> dict:
     """Dynkin-series homogeneous components of log(exp X exp Y) up to the
-    given total degree, as a map degree -> matrix."""
-    n = x.nrows
-    out = {d: Matrix.zeros(n, n, x.domain) for d in range(1, max_degree + 1)}
+    given total degree, as a map degree -> matrix.
+
+    Each word w1 ... wk in the letters x, y stands for the nested bracket
+    [w1, [w2, ..., [w(k-1), wk]]].  The Dynkin coefficients are summed per
+    word first; a word whose last two letters agree is skipped, since
+    [a, a] = 0, and the brackets are memoised by suffix, so each nonzero
+    nested bracket costs one commutator (after Casas and Murua (2009), "An
+    efficient algorithm for computing the BCH series").  Through degree 3
+    that is 6 commutators."""
+    coeffs = {}
     for n_pairs in range(1, max_degree + 1):
         for seq in _pair_sequences(n_pairs, max_degree):
-            deg = sum(r + s for r, s in seq)
-            letters = []
-            for r, s in seq:
-                letters.extend([x] * r)
-                letters.extend([y] * s)
-            denom = deg
+            word = "".join("x" * r + "y" * s for r, s in seq)
+            if len(word) > 1 and word[-1] == word[-2]:
+                continue
+            denom = len(word)
             for r, s in seq:
                 denom *= factorial(r) * factorial(s)
             coeff = F((-1) ** (n_pairs - 1), n_pairs * denom)
-            out[deg] = out[deg] + _nested_bracket(letters) * coeff
+            coeffs[word] = coeffs.get(word, 0) + coeff
+    brackets = {"x": x, "y": y}
+
+    def bracket(word):
+        if word not in brackets:
+            brackets[word] = commutator(brackets[word[0]], bracket(word[1:]))
+        return brackets[word]
+
+    n = x.nrows
+    out = {d: Matrix.zeros(n, n, x.domain) for d in range(1, max_degree + 1)}
+    for word, coeff in coeffs.items():
+        if coeff:
+            out[len(word)] = out[len(word)] + bracket(word) * coeff
     return out
 
 

@@ -490,3 +490,27 @@ def test_cli_roots_a9_without_enumerating_the_weyl_group():
     assert code == 0, err
     payload = json.loads(out)
     assert payload["weyl_order"] == 3628800 and len(payload["roots"]) == 90
+
+
+# ---------------------------------------------------------------------------
+# --help returns 0 and writes to the caller's stream
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [(["--help"], "usage: rcg [-h]"), (["bch", "--help"], "usage: rcg bch [-h] x y")],
+    ids=["top-level", "verb"],
+)
+def test_cli_help_writes_usage_to_out_and_returns_0(argv, usage, capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out=out, err=err) == 0
+    assert out.getvalue().startswith(usage) and err.getvalue() == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_python_m_rcg_cli_help_exits_0():
+    env = dict(os.environ, PYTHONPATH=str(Path(rcg.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "rcg.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: rcg [-h]") and "jm-triple" in done.stdout
+    assert done.stderr == ""

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcg.errors import (
     DegenerateLeadingSpectrum,
@@ -246,3 +249,165 @@ def test_shape_mismatch_is_a_domain_error():
         with pytest.raises(DomainError):
             op()
     assert (two + two) == two * 2 and (wide - wide) == wide * 0
+
+
+# ---------------------------------------------------------------------------
+# the rational kernel: depth-0 tower matrices against plain Fraction code
+
+def _fractions(values):
+    """The Fractions held by depth-0 TowerScalars; fails on anything else."""
+    out = []
+    for x in values:
+        assert isinstance(x, TowerScalar) and x.tower.depth == 0
+        assert type(x.coeffs[0]) is Fraction
+        out.append(x.coeffs[0])
+    return out
+
+
+def _rows(m):
+    return [_fractions(row) for row in m.data]
+
+
+def _frac_product(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), F(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _frac_rank(rows):
+    rows = [list(r) for r in rows]
+    rank_ = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank_, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        for i in range(len(rows)):
+            if i != rank_ and rows[i][c]:
+                f = rows[i][c] / rows[rank_][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank_])]
+        rank_ += 1
+    return rank_
+
+
+def _frac_det(rows):
+    """Leibniz formula."""
+    n = len(rows)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = F(-1) ** inversions
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+_small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def _rational_rows(draw, nrows, ncols):
+    """Rows of small rationals, often with a zero row or a row that is a
+    multiple of another (so rank-deficient)."""
+    rows = [[draw(_small_fractions) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1:
+        i, j = draw(st.permutations(range(nrows)))[:2]
+        shape = draw(st.sampled_from(("random", "zero row", "dependent row")))
+        if shape == "zero row":
+            rows[i] = [F(0)] * ncols
+        elif shape == "dependent row":
+            c = draw(_small_fractions)
+            rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rational_kernel_ring_operations_match_fractions(data):
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(_rational_rows(n, k)), data.draw(_rational_rows(n, k))
+    c = data.draw(_rational_rows(k, m))
+    s = data.draw(_small_fractions)
+    am, bm, cm = Matrix.tower(a), Matrix.tower(b), Matrix.tower(c)
+    assert _rows(am * cm) == _frac_product(a, c)
+    assert _rows(am + bm) == [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]
+    assert _rows(am - bm) == [[x - y for x, y in zip(r, q)] for r, q in zip(a, b)]
+    scaled = [[x * s for x in r] for r in a]
+    for product in (am * s, s * am, am * TowerScalar.coerce(s)):
+        assert _rows(product) == scaled
+    assert _rows(am * 3) == [[3 * x for x in r] for r in a]
+    assert rank(am) == _frac_rank(a)
+    basis = kernel(am)
+    assert len(basis) == k - _frac_rank(a)
+    if basis:
+        vectors = [_fractions(v) for v in basis]
+        assert _frac_rank(vectors) == len(vectors)
+        assert _frac_product(a, [list(col) for col in zip(*vectors)]) == [
+            [F(0)] * len(vectors) for _ in range(n)
+        ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rational_kernel_square_operations_match_fractions(data):
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    a, rhs = data.draw(_rational_rows(n, n)), data.draw(_rational_rows(n, k))
+    am = Matrix.tower(a)
+    d = _frac_det(a)
+    assert _fractions([det(am)]) == [d]
+    assert _fractions([am.trace()]) == [sum((a[i][i] for i in range(n)), F(0))]
+    coeffs = _fractions(char_poly(am))
+    for t in range(n + 1):
+        shifted = [[(t if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+        assert sum(c * t ** (n - i) for i, c in enumerate(coeffs)) == _frac_det(shifted)
+    if d == 0:
+        with pytest.raises(SingularMatrix):
+            solve(am, Matrix.tower(rhs))
+    else:
+        assert _frac_product(a, _rows(solve(am, Matrix.tower(rhs)))) == rhs
+        assert _frac_product(a, _rows(inverse(am))) == [
+            [F(int(i == j)) for j in range(n)] for i in range(n)
+        ]
+
+
+def test_rational_kernel_makes_no_tower_arithmetic(monkeypatch):
+    a = [[1, F(1, 2), 0, 3], [F(-2, 3), 1, 4, 0], [0, 0, F(5, 4), 1], [2, -1, 0, F(1, 3)]]
+    b = [[F(1, 2), 0], [1, F(-3, 2)], [0, 2], [F(1, 5), 1]]
+    am, bm = Matrix.tower(a), Matrix.tower(b)
+
+    def refuse(*args):
+        raise AssertionError("TowerScalar arithmetic on a depth-0 matrix")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(TowerScalar, name, refuse)
+    product, r, x = am * bm, rank(am), solve(am, bm)
+    d, coeffs = det(am), char_poly(am)
+    monkeypatch.undo()
+    assert _rows(product) == _frac_product(a, b)
+    assert r == 4 and _frac_product(a, _rows(x)) == b
+    assert _fractions([d]) == [_frac_det(a)] and len(_fractions(coeffs)) == 5
+
+
+def test_rational_kernel_falls_back_on_a_radical():
+    r2 = sqrt_positive(TowerScalar.coerce(2))
+    zero = TowerScalar.coerce(0)
+    a = Matrix.tower([[1, F(1, 2)], [F(-3), F(2, 3)]])
+    b = Matrix.tower([[r2, 1], [0, r2]])
+
+    def generic(p, q):
+        return [
+            [sum((p[i, k] * q[k, j] for k in range(2)), zero) for j in range(2)]
+            for i in range(2)
+        ]
+
+    for got, want in (
+        (a * b, generic(a, b)),
+        (b * a, generic(b, a)),
+        (a * r2, [[a[i, j] * r2 for j in range(2)] for i in range(2)]),
+    ):
+        assert got == Matrix.tower(want)
+        assert all(x.tower == r2.tower for row in got.data for x in row)
+    assert a + b == Matrix.tower([[a[i, j] + b[i, j] for j in range(2)] for i in range(2)])
+    assert a * solve(a, b) == b
