@@ -31,7 +31,7 @@ from .linalg import (
     sym_eigen_lift,
     sym_eigen_tower,
 )
-from .slgroup import GroupElement, n_elements
+from .slgroup import GroupElement
 
 
 class _Factorisation:
@@ -203,14 +203,30 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
 def kak_uniqueness_check(g: GroupElement, res1: KAKResult, res2: KAKResult) -> GroupElement:
     """The Weyl element relating two Cartan middle factors of the same g:
     an n in N with a2 = n a1 n^{-1}.  Identity when both are already in the
-    closed chamber.  Failure to find one signals an implementation bug."""
+    closed chamber.  Conjugation by a signed permutation permutes a
+    diagonal and ignores the signs, so n sends each diagonal entry of a1 to
+    an equal one of a2, with one sign flipped when that permutation is odd
+    (det n = 1).  Failure to find one signals an implementation bug."""
     a1, a2 = res1.a, res2.a
-    if a1 == a2:
-        return GroupElement.identity(g.n)
-    for w in n_elements(g.n):
-        if w * a1 * w.inverse() == a2:
-            return w
-    raise NoRelatingElement("no signed permutation relates the two A-parts")
+    n = g.n
+    free = list(range(n))
+    perm = []  # perm[j]: the diagonal place in a2 of a1's j-th entry
+    for j in range(n):
+        i = next((i for i in free if a2[i, i] == a1[j, j]), None)
+        if i is None:
+            raise NoRelatingElement("no signed permutation relates the two A-parts")
+        free.remove(i)
+        perm.append(i)
+    rows = [[0] * n for _ in range(n)]
+    for j, i in enumerate(perm):
+        rows[i][j] = 1
+    inversions = sum(perm[j] > perm[k] for j in range(n) for k in range(j + 1, n))
+    if inversions % 2:
+        rows[perm[0]][0] = -1
+    w = GroupElement._unchecked(Matrix(a1.mat.domain, rows))
+    if w * a1 * w.transpose() != a2:
+        raise NoRelatingElement("no signed permutation relates the two A-parts")
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ theirs in their scalar domain (linalg.PuiseuxDomain(order)); the default,
 DEFAULT_REL_ORDER = 8, is a constant that nothing in rcg writes.  The
 series of invert and sqrt_positive keep an input's tail: a power of the
 normalised remainder that is only a tail ends the sum and bounds it.
+
+Below-tail rule: a term below a value's tail is unknown, so no operation
+forms one.  A product works out its tail first, max(tail_a + lead_b,
+tail_b + lead_a), and multiplies only the coefficient pairs whose exponent
+sum is at or above it; terms are sorted by decreasing exponent, so the inner
+loop stops at the first pair below the tail.  Sums and products build their
+results through a trusted constructor that skips the normalisation the
+public PuiseuxScalar(terms, tail) does for the parser and for callers.
 """
 
 from __future__ import annotations
@@ -33,10 +41,6 @@ F = Fraction
 
 #: default relative truncation width used when an operation must choose one
 DEFAULT_REL_ORDER = F(8)
-
-
-def _coerce_coeff(c) -> TowerScalar:
-    return TowerScalar.coerce(c)
 
 
 class PuiseuxScalar:
@@ -54,7 +58,7 @@ class PuiseuxScalar:
         norm = {}
         for e, c in terms:
             e = F(e)
-            c = _coerce_coeff(c)
+            c = TowerScalar.coerce(c)
             if e in norm:
                 norm[e] = norm[e] + c
             else:
@@ -68,11 +72,22 @@ class PuiseuxScalar:
         self.terms = tuple(items)
         self.tail = tail
 
+    @classmethod
+    def _trusted(cls, terms: tuple, tail) -> "PuiseuxScalar":
+        """A value from terms that are already normal: Fraction exponents
+        strictly decreasing, nonzero TowerScalar coefficients, none below
+        the tail (a Fraction or None).  Nothing is checked or converted."""
+        s = object.__new__(cls)
+        s.terms = terms
+        s.tail = tail
+        return s
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def monomial(coeff, exponent=F(0)) -> "PuiseuxScalar":
-        return PuiseuxScalar(((F(exponent), _coerce_coeff(coeff)),))
+        c = TowerScalar.coerce(coeff)
+        return PuiseuxScalar._trusted(() if c.is_zero() else ((F(exponent), c),), None)
 
     @staticmethod
     def constant(c) -> "PuiseuxScalar":
@@ -80,11 +95,10 @@ class PuiseuxScalar:
 
     @staticmethod
     def coerce(x) -> "PuiseuxScalar":
-        if isinstance(x, PuiseuxScalar):
-            return x
-        if isinstance(x, (int, Fraction, TowerScalar)):
-            return PuiseuxScalar.constant(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to PuiseuxScalar")
+        s = _operand(x)
+        if s is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to PuiseuxScalar")
+        return s
 
     # -- structure ---------------------------------------------------------
 
@@ -129,7 +143,7 @@ class PuiseuxScalar:
         cutoff = F(cutoff)
         if self.tail is not None and self.tail >= cutoff:
             return self
-        return PuiseuxScalar(self.terms, cutoff)
+        return PuiseuxScalar._trusted(_above(self.terms, cutoff), cutoff)
 
     def coefficient(self, exponent) -> TowerScalar:
         exponent = F(exponent)
@@ -147,32 +161,63 @@ class PuiseuxScalar:
         return self.tail  # may be None (exact zero)
 
     def __add__(self, other):
-        other = PuiseuxScalar.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         if self.tail is None:
             tail = other.tail
         elif other.tail is None:
             tail = self.tail
         else:
             tail = max(self.tail, other.tail)
-        return PuiseuxScalar(self.terms + other.terms, tail)
+        # one pass over both decreasing term lists
+        a, b = self.terms, other.terms
+        na, nb = len(a), len(b)
+        i = j = 0
+        out = []
+        while i < na and j < nb:
+            ea, eb = a[i][0], b[j][0]
+            if ea == eb:
+                c = a[i][1] + b[j][1]
+                if not c.is_zero():
+                    out.append((ea, c))
+                i += 1
+                j += 1
+            elif ea > eb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        terms = tuple(out)
+        return PuiseuxScalar._trusted(terms if tail is None else _above(terms, tail), tail)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxScalar(tuple((e, -c) for e, c in self.terms), self.tail)
+        return PuiseuxScalar._trusted(tuple((e, -c) for e, c in self.terms), self.tail)
 
     def __sub__(self, other):
-        return self + (-PuiseuxScalar.coerce(other))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return PuiseuxScalar.coerce(other) + (-self)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        other = PuiseuxScalar.coerce(other)
-        if (self.tail is None and not self.terms) or (
-            other.tail is None and not other.terms
-        ):
-            return PuiseuxScalar(())
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.terms, other.terms
+        if (self.tail is None and not a) or (other.tail is None and not b):
+            return PuiseuxScalar._trusted((), None)
         cands = []
         if self.tail is not None:
             ub = other._known_exp_bound()
@@ -183,10 +228,36 @@ class PuiseuxScalar:
             if ub is not None:
                 cands.append(other.tail + ub)
         tail = max(cands) if cands else None
-        prods = [
-            (e1 + e2, c1 * c2) for e1, c1 in self.terms for e2, c2 in other.terms
-        ]
-        return PuiseuxScalar(prods, tail)
+        if not a or not b:
+            return PuiseuxScalar._trusted((), tail)
+        # Exponents as integers over one common denominator: the sums, the
+        # tail test and the grouping then cost an int operation each.
+        den = 1
+        for e, _ in a + b:
+            den = lcm(den, e.denominator)
+        if tail is not None:
+            den = lcm(den, tail.denominator)
+        ka = [(e.numerator * (den // e.denominator), c) for e, c in a]
+        kb = [(e.numerator * (den // e.denominator), c) for e, c in b]
+        if tail is None:
+            low = ka[-1][0] + kb[-1][0]  # the lowest sum: nothing is cut
+        else:
+            low = tail.numerator * (den // tail.denominator)
+        top = kb[0][0]
+        sums = {}
+        for k1, c1 in ka:
+            if k1 + top < low:
+                break  # every later row starts lower still
+            for k2, c2 in kb:
+                k = k1 + k2
+                if k < low:
+                    break  # every later pair of this row is lower still
+                c = c1 * c2
+                sums[k] = sums[k] + c if k in sums else c
+        terms = tuple(
+            (F(k, den), c) for k, c in sorted(sums.items(), reverse=True) if not c.is_zero()
+        )
+        return PuiseuxScalar._trusted(terms, tail)
 
     __rmul__ = __mul__
 
@@ -203,9 +274,8 @@ class PuiseuxScalar:
         return out
 
     def __eq__(self, other):
-        try:
-            other = PuiseuxScalar.coerce(other)
-        except TypeError:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         if self.tail != other.tail or len(self.terms) != len(other.terms):
             return False
@@ -243,10 +313,16 @@ class PuiseuxScalar:
         return total * PuiseuxScalar.monomial(c0inv, -e0)
 
     def __truediv__(self, other):
-        return self * PuiseuxScalar.coerce(other).invert()
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self * other.invert()
 
     def __rtruediv__(self, other):
-        return PuiseuxScalar.coerce(other) * self.invert()
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self.invert()
 
     def sqrt_positive(self, target_order=None) -> "PuiseuxScalar":
         """Positive square root via the binomial series on the normalised
@@ -279,7 +355,7 @@ class PuiseuxScalar:
         total = total.truncate_below(cutoff)
         result = total * PuiseuxScalar.monomial(root0, e0 / 2)
         if self.tail is None:
-            exact = PuiseuxScalar(result.terms, None)
+            exact = PuiseuxScalar._trusted(result.terms, None)
             if exact * exact == self:
                 return exact
         return result
@@ -350,6 +426,23 @@ class PuiseuxScalar:
 
     def __repr__(self):
         return f"PuiseuxScalar({self})"
+
+
+def _operand(x):
+    """x as a PuiseuxScalar, or None when it is no scalar of the field."""
+    if isinstance(x, PuiseuxScalar):
+        return x
+    if isinstance(x, (int, Fraction, TowerScalar)):
+        return PuiseuxScalar.constant(x)
+    return None
+
+
+def _above(terms: tuple, cutoff) -> tuple:
+    """The decreasing terms at or above the cutoff exponent."""
+    k = len(terms)
+    while k and terms[k - 1][0] < cutoff:
+        k -= 1
+    return terms if k == len(terms) else terms[:k]
 
 
 #: the series variable itself (an infinite element of the field)

@@ -12,6 +12,18 @@ Equality and the zero test are purely symbolic (coordinate comparison after
 lifting to a common tower).  Signs of provably nonzero elements are decided
 by adaptive-precision rational interval refinement, which terminates because
 a nonzero element has nonzero magnitude.
+
+Merge memo: an operation on scalars of two towers neither of which extends
+the other lifts both into a common tower.  The first such merge of an
+ordered pair of towers builds a merge map: the common tower and the images
+there of the right tower's 2^d basis monomials, as sparse coefficient
+vectors.  The map is kept on the left Tower object, keyed by the right
+tower's id and confirmed with `is` (it holds the right tower, so the id
+cannot be reused while the entry lives).  Every later merge of that pair
+pads the left coefficients and maps the right ones by one linear
+combination, and returns the same tower object, so the next operation on
+the result takes the equal-tower path.  The memo lives and dies with its
+tower: no module-level cache, no size limit.
 """
 
 from __future__ import annotations
@@ -194,13 +206,15 @@ class Tower:
     """Immutable context: the chain of adjoined radicands.
 
     radicands[i] is a coefficient vector of length 2**i over the prefix
-    tower of depth i.
+    tower of depth i.  _merges is the merge memo (see the module docstring):
+    id(right tower) -> (right tower, common tower, basis images).
     """
 
-    __slots__ = ("radicands",)
+    __slots__ = ("radicands", "_merges")
 
     def __init__(self, radicands: tuple = ()):
         self.radicands = radicands
+        self._merges = {}
 
     @property
     def depth(self) -> int:
@@ -243,11 +257,10 @@ class TowerScalar:
 
     @staticmethod
     def coerce(x) -> "TowerScalar":
-        if isinstance(x, TowerScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return TowerScalar.from_fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to TowerScalar")
+        s = _operand(x)
+        if s is None:
+            raise TypeError(f"cannot coerce {type(x).__name__} to TowerScalar")
+        return s
 
     # -- structure ---------------------------------------------------------
 
@@ -270,23 +283,35 @@ class TowerScalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        t, u, v = _common(self, TowerScalar.coerce(other))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        t, u, v = _common(self, other)
         return TowerScalar(t, _vadd(u, v))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        t, u, v = _common(self, TowerScalar.coerce(other))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        t, u, v = _common(self, other)
         return TowerScalar(t, _vsub(u, v))
 
     def __rsub__(self, other):
-        return TowerScalar.coerce(other) - self
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return TowerScalar(self.tower, _vneg(self.coeffs))
 
     def __mul__(self, other):
-        t, u, v = _common(self, TowerScalar.coerce(other))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        t, u, v = _common(self, other)
         return TowerScalar(t, _vmul(t.radicands, t.depth, u, v))
 
     __rmul__ = __mul__
@@ -297,10 +322,16 @@ class TowerScalar:
         )
 
     def __truediv__(self, other):
-        return self * TowerScalar.coerce(other).inv()
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inv()
 
     def __rtruediv__(self, other):
-        return TowerScalar.coerce(other) * self.inv()
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inv()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -315,9 +346,8 @@ class TowerScalar:
         return out
 
     def __eq__(self, other):
-        try:
-            other = TowerScalar.coerce(other)
-        except TypeError:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         t, u, v = _common(self, other)
         return u == v
@@ -368,9 +398,18 @@ class TowerScalar:
         return f"TowerScalar({self})"
 
 
+def _operand(x):
+    """x as a TowerScalar, or None when it is no scalar of the field."""
+    if isinstance(x, TowerScalar):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return TowerScalar.from_fraction(x)
+    return None
+
+
 def _common(a: TowerScalar, b: TowerScalar):
     """Lift two scalars to a common tower; returns (tower, coeffs_a, coeffs_b)."""
-    if a.tower == b.tower:
+    if a.tower is b.tower or a.tower == b.tower:
         return a.tower, a.coeffs, b.coeffs
     if a.tower.is_prefix_of(b.tower):
         return b.tower, a.lift_to(b.tower).coeffs, b.coeffs
@@ -380,14 +419,34 @@ def _common(a: TowerScalar, b: TowerScalar):
 
 
 def _merge(a: TowerScalar, b: TowerScalar):
-    """General merge: adjoin b's radicands onto a's tower one level at a
-    time, reusing an existing square root whenever one already exists there
-    (so dependent radicands never create spurious levels)."""
-    t = a.tower
-    # images[i]: sqrt of b's i-th radicand, as a TowerScalar in the current t
+    """General merge through the memoised map of the pair (a.tower,
+    b.tower): a's coefficients padded, b's mapped by the basis images."""
+    memo = a.tower._merges
+    hit = memo.get(id(b.tower))
+    if hit is None or hit[0] is not b.tower:
+        hit = memo[id(b.tower)] = (b.tower,) + _merge_map(a.tower, b.tower)
+    _, t, basis = hit
+    size = 1 << t.depth
+    ea = a.coeffs + (_F0,) * (size - len(a.coeffs))
+    eb = [_F0] * size
+    for q, image in zip(b.coeffs, basis):
+        if q:
+            for k, x in image:
+                eb[k] += q * x
+    return t, ea, tuple(eb)
+
+
+def _merge_map(ta: Tower, tb: Tower):
+    """The common tower of ta and tb, and the images there of tb's basis
+    monomials as sparse vectors ((index, coefficient), ...).  Adjoins tb's
+    radicands onto ta one level at a time, reusing an existing square root
+    whenever one already exists there (so dependent radicands never create
+    spurious levels)."""
+    t = ta
+    # images[i]: sqrt of tb's i-th radicand, as a TowerScalar in the current t
     images: list = []
-    for i, rad in enumerate(b.tower.radicands):
-        rad_img = _fold(b.tower, i, rad, t, images)
+    for i, rad in enumerate(tb.radicands):
+        rad_img = _fold(tb, i, rad, t, images)
         s = _vsqrt(t.radicands, t.depth, rad_img.coeffs)
         if s is not None:
             root = TowerScalar(t, s)
@@ -398,9 +457,11 @@ def _merge(a: TowerScalar, b: TowerScalar):
             root = TowerScalar(t, _vzero(t.depth - 1) + _vone(t.depth - 1))
             images = [im.lift_to(t) for im in images]
         images.append(root)
-    ea = a.coeffs + (_F0,) * ((1 << t.depth) - len(a.coeffs))
-    eb = _fold(b.tower, b.tower.depth, b.coeffs, t, images)
-    return t, ea, eb.coeffs
+    # the monomial of mask m is the one of m without its top bit times a root
+    basis = [_vone(t.depth)]
+    for j, root in enumerate(images):
+        basis += [_vmul(t.radicands, t.depth, v, root.coeffs) for v in basis[: 1 << j]]
+    return t, tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in basis)
 
 
 def _fold(src: Tower, depth: int, vec: tuple, dst: Tower, images: list) -> TowerScalar:

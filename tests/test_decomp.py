@@ -14,8 +14,8 @@ from rcg.decomp import (
     iwasawa_uak,
     kak_uniqueness_check,
 )
-from rcg.errors import RepeatedEigenvalue
-from rcg.linalg import Matrix, PuiseuxDomain, det
+from rcg.errors import NoRelatingElement, RepeatedEigenvalue
+from rcg.linalg import TOWER, Matrix, PuiseuxDomain, det
 from rcg.puiseux import PuiseuxScalar, X
 from rcg.slgroup import (
     GroupElement,
@@ -264,6 +264,45 @@ def test_kak_uniqueness_check():
     assert shuffled.reconstruct() == g
     rel = kak_uniqueness_check(g, res, shuffled)
     assert rel * res.a * rel.inverse() == shuffled.a
+
+
+def _diagonal(entries, domain):
+    n = len(entries)
+    return GroupElement(Matrix(domain, [[entries[i] if i == j else 0 for j in range(n)]
+                                        for i in range(n)]))
+
+
+@pytest.mark.parametrize("entries, domain", [
+    ((4, 2, F(1, 2), F(1, 4)), TOWER),
+    ((2, 2, F(1, 2), F(1, 2)), TOWER),  # repeated entries
+    ((X, mono(1, F(1, 2)), mono(1, F(-1, 2)), mono(1, -1)), PuiseuxDomain()),
+])
+def test_kak_uniqueness_check_n4_shuffled_chamber_factor(entries, domain):
+    g = a = _diagonal(entries, domain)
+    one = GroupElement(Matrix.identity(4, domain))
+    res = KAKResult(one, a, one)
+    rng = random.Random(4)
+    for _ in range(6):
+        perm = rng.sample(range(4), 4)
+        rows = [[0] * 4 for _ in range(4)]
+        for j, i in enumerate(perm):
+            rows[i][j] = rng.choice((1, -1))
+        if det(Matrix.tower(rows)) != 1:
+            rows[perm[0]][0] *= -1
+        w = GroupElement(Matrix(domain, rows))
+        shuffled = KAKResult(res.k1 * w.inverse(), w * res.a * w.inverse(), w * res.k2)
+        assert shuffled.reconstruct() == g
+        rel = kak_uniqueness_check(g, res, shuffled)
+        assert member_N(rel)
+        assert rel * res.a * rel.inverse() == shuffled.a
+
+
+def test_kak_uniqueness_check_raises_without_a_relating_element():
+    a1 = _diagonal((4, 2, F(1, 2), F(1, 4)), TOWER)
+    a2 = _diagonal((4, 2, F(1, 8), 1), TOWER)
+    one = GroupElement.identity(4)
+    with pytest.raises(NoRelatingElement):
+        kak_uniqueness_check(a1, KAKResult(one, a1, one), KAKResult(one, a2, one))
 
 
 def _known_zero_matrix(m):

@@ -3,8 +3,10 @@
 No invariant rests on `assert`, which `python -O` strips, or on a bare
 AssertionError, which escapes the CLI as a traceback: every check in
 src/rcg raises a typed RcgError.  And no call mutates process-wide state:
-src/rcg has no `global` statement and never assigns to an attribute of a
-module it imported (a working order travels in a ScalarDomain instead)."""
+src/rcg has no `global` statement, never assigns to an attribute of a
+module it imported (a working order travels in a ScalarDomain instead), and
+no function writes into a container bound at module level (a memo lives on
+the object it belongs to, as the tower merge maps do on their Tower)."""
 
 import ast
 import importlib
@@ -63,10 +65,50 @@ def _targets(node):
             yield target
 
 
+#: methods that change a list, dict or set in place
+_MUTATORS = frozenset({"append", "extend", "update", "setdefault", "pop", "clear", "add"})
+
+
+def _stored_names(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _module_level_names(tree) -> set:
+    """The names a module binds outside its functions and classes."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+        elif not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names |= _stored_names(stmt)
+    return names
+
+
+def _container_writes(tree):
+    """(line, name) of each write inside a function into a container that
+    the module binds: NAME[k] = v, NAME[k] += v, del NAME[k], and
+    NAME.append/extend/update/setdefault/pop/clear/add(...)."""
+    shared = _module_level_names(tree)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = _stored_names(fn) | {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        for node in ast.walk(fn):
+            names = [t.value for t in _targets(node) if isinstance(t, ast.Subscript)]
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS):
+                names.append(node.func.value)
+            for name in names:
+                if isinstance(name, ast.Name) and name.id in shared - local:
+                    yield node.lineno, name.id
+
+
 def test_no_process_wide_writes_in_the_library():
     found = []
     for path, tree in _sources():
         modules = _module_names(path)
+        found += sorted({f"{path.name}:{line}: writes into {name}"
+                         for line, name in _container_writes(tree)})
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 found.append(f"{path.name}:{node.lineno}: global {', '.join(node.names)}")

@@ -228,3 +228,59 @@ def test_invert_and_sqrt_claim_only_known_terms(case):
     a, b, q = case
     _claims_only_known_terms(a.invert(q), b.invert(2 * q))
     _claims_only_known_terms(a.sqrt_positive(q), b.sqrt_positive(2 * q))
+
+
+# ---------------------------------------------------------------------------
+# the tail-aware product and the one-pass sum against the normalising
+# constructor, with coefficients from two independent towers
+
+_R2, _R3 = tower_sqrt(2), tower_sqrt(3)
+
+
+@st.composite
+def series(draw):
+    """A series with or without a tail whose coefficients mix sqrt(2) and
+    sqrt(3), so products and sums also merge towers."""
+    q = st.fractions(-3, 3, max_denominator=3)
+    exps = draw(st.lists(st.sampled_from([F(k, 2) for k in range(-8, 7)]),
+                         max_size=5, unique=True))
+    terms = [(e, draw(q) + draw(q) * draw(st.sampled_from([_R2, _R3]))) for e in exps]
+    tail = draw(st.none() | st.sampled_from([F(k, 2) for k in range(-14, 5)]))
+    return P(terms, tail)
+
+
+def _product_tail(a, b):
+    """The tail of a * b: each operand's tail shifted by the other's lead."""
+    if (a.tail is None and not a.terms) or (b.tail is None and not b.terms):
+        return None
+    cands = []
+    if a.tail is not None and (b.terms or b.tail is not None):
+        cands.append(a.tail + (b.terms[0][0] if b.terms else b.tail))
+    if b.tail is not None and (a.terms or a.tail is not None):
+        cands.append(b.tail + (a.terms[0][0] if a.terms else a.tail))
+    return max(cands) if cands else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(series(), series())
+def test_product_and_sum_match_the_normalising_constructor(a, b):
+    pairs = [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]
+    assert a * b == P(pairs, _product_tail(a, b))
+    tails = [t for t in (a.tail, b.tail) if t is not None]
+    assert a + b == P(a.terms + b.terms, max(tails) if tails else None)
+    assert a - b == P(a.terms + tuple((e, -c) for e, c in b.terms),
+                      max(tails) if tails else None)
+
+
+def test_operands_of_another_type_are_left_to_them():
+    from rcg.linalg import Matrix
+
+    two = P.coerce(2)
+    m = Matrix.puiseux([[X, 1], [0, 1]])
+    assert two * m == Matrix.puiseux([[2 * X, 2], [0, 2]])  # Matrix.__rmul__
+    assert two.__mul__(m) is NotImplemented
+    assert two.__eq__("a") is NotImplemented
+    for op in (lambda x: x + "a", lambda x: "a" - x, lambda x: x * "a", lambda x: x / "a"):
+        with pytest.raises(TypeError):
+            op(two)
+    assert tower_sqrt(2) + X == P([(1, 1), (0, tower_sqrt(2))])  # PuiseuxScalar.__radd__

@@ -164,3 +164,58 @@ def test_printing_roundtrip_structure():
     assert str(v) == "1/2 + 3*sqrt(2)"
     assert str(ts(0)) == "0"
     assert str(-r2) == "-sqrt(2)"
+
+
+# ---------------------------------------------------------------------------
+# the merge memo: one map per ordered pair of towers
+
+def test_second_merge_of_a_pair_reuses_the_common_tower():
+    a = 1 + 2 * sqrt_positive(2)
+    b = F(1, 3) - sqrt_positive(3)
+    first, second = a * b, (a + 1) + (b - 2)
+    assert second.tower is first.tower
+    # the same values in fresh copies of both towers, merged from scratch
+    a2 = 1 + 2 * sqrt_positive(2)
+    b2 = F(1, 3) - sqrt_positive(3)
+    assert a2.tower is not a.tower and b2.tower is not b.tower
+    for x, y in ((a * b, a2 * b2), (a + b, a2 + b2), (a - b, a2 - b2)):
+        assert x.tower.radicands == y.tower.radicands
+        assert x.coeffs == y.coeffs
+
+
+def test_memoised_merges_commute_and_keep_signs():
+    r2, r3, r5 = sqrt_positive(2), sqrt_positive(3), sqrt_positive(5)
+    values = [r2 - 1, 1 - r3, r5 - 2, r2 + r3, r3 - r5, F(1, 2) - r2 * r5]
+    for _ in range(2):  # the second pass runs on the memoised maps
+        for a in values:
+            for b in values:
+                assert a + b == b + a
+                assert a * b == b * a
+                assert (a * b).sign() == a.sign() * b.sign()
+    assert (r2 * r3 * r5) * (r2 * r3 * r5) == 30
+
+
+def test_memoised_merge_of_a_denesting_radical_adds_no_level():
+    r2, r3 = sqrt_positive(2), sqrt_positive(3)
+    a = r2 + r3  # Q(sqrt 2)(sqrt 3)
+    b = sqrt_positive(2 + r3)  # Q(sqrt 3)(sqrt(2 + sqrt 3))
+    assert a.tower.depth == b.tower.depth == 2
+    for _ in range(2):  # the second pass runs on the memoised maps
+        # sqrt(2 + sqrt 3) = (sqrt 2 sqrt 3 + sqrt 2) / 2 lies in a's tower,
+        # and sqrt 2 = 2 sqrt(2 + sqrt 3) / (sqrt 3 + 1) in b's
+        for s in (a + b, b + a):
+            assert s.tower.depth == 2
+            assert s == r2 + r3 + (r2 * r3 + r2) / 2
+
+
+def test_operands_of_another_type_are_left_to_them():
+    from rcg.linalg import Matrix
+
+    two = ts(2)
+    m = Matrix.tower([[1, F(1, 2)], [0, sqrt_positive(2)]])
+    assert two * m == Matrix.tower([[2, 1], [0, 2 * sqrt_positive(2)]])  # Matrix.__rmul__
+    assert two.__mul__(m) is NotImplemented
+    assert two.__eq__("a") is NotImplemented
+    for op in (lambda x: x + "a", lambda x: "a" - x, lambda x: x * "a", lambda x: x / "a"):
+        with pytest.raises(TypeError):
+            op(two)
