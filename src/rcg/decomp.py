@@ -173,9 +173,17 @@ def a_component(g: GroupElement) -> GroupElement:
 def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     """g = k1 a k2 with a the descending singular-value diagonal.
 
-    Tower inputs need a tower-solvable simple spectrum of g^T g; Puiseux
-    inputs need a simple leading spectrum (then everything is certified to
-    the relative order `order`, default the order of g's domain)."""
+    Tower inputs need a tower-solvable simple spectrum of g^T g, and the
+    result is exact.
+
+    Puiseux inputs need a simple leading spectrum.  The eigen data of g^T g
+    are lifted to the relative order `order` (default: the order of g's
+    domain), and every known term of every residual vanishes.  The
+    residuals are known less deep than `order`: k1 = g v / a divides by the
+    small singular values, so k1^T k1 = 1 and k1 a k2 = g are known at best
+    to `order` less the exponent spread of a (its largest less its smallest
+    leading exponent), below the scale of each residual.  On some inputs
+    they fall short even of that, for want of working order."""
     dom = g.mat.domain
     if dom is not TOWER and order is not None:
         dom = PuiseuxDomain(order)

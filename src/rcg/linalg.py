@@ -219,16 +219,6 @@ class Matrix:
         domain, rows = _lower(self)
         return _lift_scalar(domain, _trace(domain, rows))
 
-    def submatrix(self, drop_row: int, drop_col: int) -> "Matrix":
-        return Matrix(
-            self.domain,
-            [
-                [x for j, x in enumerate(row) if j != drop_col]
-                for i, row in enumerate(self.data)
-                if i != drop_row
-            ],
-        )
-
     # -- arithmetic ------------------------------------------------------------
 
     def _same_shape(self, other):
@@ -340,9 +330,13 @@ def _lift_scalar(domain, x):
 
 
 def _trace(domain, rows):
+    return _sum(domain, [r[i] for i, r in enumerate(rows)])
+
+
+def _sum(domain, xs):
     t = domain.zero
-    for i in range(len(rows)):
-        t = t + rows[i][i]
+    for x in xs:
+        t = t + x
     return t
 
 
@@ -538,21 +532,32 @@ def kernel(m: Matrix) -> list:
 def char_poly(m: Matrix) -> list:
     """Monic characteristic polynomial coefficients [1, c1, ..., cn] with
     p(t) = t^n + c1 t^(n-1) + ... + cn, by the Faddeev-LeVerrier recursion
-    (valid in characteristic zero; only integer divisions appear)."""
+    (valid in characteristic zero; only integer divisions appear).  The
+    last product is read only through its trace, so only its diagonal is
+    formed."""
     if not m.is_square():
         raise DomainError("char_poly of a non-square matrix")
     n = m.nrows
     domain, rows = _lower(m)
-    identity = [[domain.one if i == j else domain.zero for j in range(n)] for i in range(n)]
     coeffs = [domain.one]
     mk = rows
+    diagonal = [r[i] for i, r in enumerate(rows)]
     for k in range(1, n + 1):
-        ck = _trace(domain, mk) * F(-1, k)
+        ck = _sum(domain, diagonal) * F(-1, k)
         coeffs.append(ck)
         if k < n:
-            shifted = [[a + e * ck for a, e in zip(r, u)] for r, u in zip(mk, identity)]
-            mk = _product(domain, rows, shifted)
+            shifted = _shift_diagonal(mk, ck)
+            if k < n - 1:
+                mk = _product(domain, rows, shifted)
+                diagonal = [r[i] for i, r in enumerate(mk)]
+            else:
+                diagonal = [_dot(r, [x[i] for x in shifted], domain) for i, r in enumerate(rows)]
     return [_lift_scalar(domain, c) for c in coeffs]
+
+
+def _shift_diagonal(rows, c):
+    """The rows of m + c I: c is added to the diagonal entries only."""
+    return [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +665,7 @@ def sym_eigen_tower(s: Matrix):
     lams.sort(key=_exact_key, reverse=True)
     cols = []
     for lam in lams:
-        shifted = s - Matrix.identity(n, TOWER) * lam
-        basis = kernel(shifted)
+        basis = kernel(Matrix(TOWER, _shift_diagonal(s.data, -lam)))
         if len(basis) != 1:
             raise RepeatedEigenvalue("eigenspace dimension exceeds one")
         v = basis[0]
@@ -685,9 +689,21 @@ def _orient(v):
 
 
 def _special_orthogonal(cols, domain) -> Matrix:
-    """The matrix with these orthonormal columns, the last one negated when
-    that is what gives it determinant +1."""
-    if domain.sign(det(Matrix(domain, list(zip(*cols))))) < 0:
+    """The matrix V with these orthonormal columns, the last one negated
+    when that is what gives it determinant +1.
+
+    Only the sign of det(V) = +-1 is needed.  A unit vector has no entry
+    with a term above X^0, so the X^0 coefficient of det(V) is det(V0),
+    where V0 is the tower matrix of the entries' X^0 coefficients (for a
+    tower matrix, V itself).  IndeterminateSign when an X^0 coefficient is
+    unknown or det(V0) is 0."""
+    rows = list(zip(*cols))
+    if domain is not TOWER:
+        rows = [[x.coefficient(0) for x in r] for r in rows]
+    sign = det(Matrix(TOWER, rows)).sign()
+    if sign == 0:
+        raise IndeterminateSign("det(V) has no known term at X^0")
+    if sign < 0:
         cols[-1] = [-x for x in cols[-1]]
     return Matrix(domain, list(zip(*cols)))
 
@@ -696,9 +712,14 @@ def _special_orthogonal(cols, domain) -> Matrix:
 # symmetric eigen lifting over the Puiseux field
 
 class SymEigenLift:
-    """Certified eigen data of a symmetric Puiseux matrix: s v = lam v and
-    v^T v = 1 hold through the stated relative order (all known residual
-    terms above the truncation bounds vanish)."""
+    """Eigen data of a symmetric Puiseux matrix s, lifted to the relative
+    order certified_order.  Every known term of s v - lam v and of
+    V^T V - I vanishes.  Each eigenvalue is known to certified_order below
+    its own leading term.  The residuals are known less deep: s v - lam v
+    at best to certified_order below the scale of s (its largest
+    eigenvalue), which for an eigenvalue of smaller scale is certified_order
+    less the exponent spread of the eigenvalues; V^T V = I at best to
+    certified_order below X^0, and on some inputs less."""
 
     __slots__ = ("eigenvalues", "eigenvectors", "certified_order")
 
@@ -780,24 +801,30 @@ def _poly_eval_puiseux(coeffs, x: PuiseuxScalar) -> PuiseuxScalar:
     return acc
 
 
-def _adjugate(m: Matrix) -> Matrix:
-    n = m.nrows
+def _adjugate_column(rows, j, domain) -> list:
+    """Column j of adj(m) for the square matrix m with these rows: entry i
+    is (-1)^(i+j) times the minor of m without row j and column i."""
+    n = len(rows)
     if n == 1:
-        return Matrix(m.domain, [[1]])
-    cof = [
-        [
-            _det_rows(m.submatrix(i, j).data, m.domain) * ((-1) ** ((i + j) % 2))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Matrix(m.domain, cof).transpose()
+        return [domain.one]
+    others = [r for k, r in enumerate(rows) if k != j]
+    col = []
+    for i in range(n):
+        minor = _det_rows([[x for c, x in enumerate(r) if c != i] for r in others], domain)
+        col.append(minor if (i + j) % 2 == 0 else -minor)
+    return col
 
 
 def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
     """Eigen series of a symmetric Puiseux matrix whose leading spectrum is
     simple, refined to the given relative order (default: the order of
-    s.domain).  The eigenvectors are the columns of V, det(V) = +1."""
+    s.domain); see SymEigenLift for what the result certifies.  The
+    eigenvectors are the columns of V, det(V) = +1.
+
+    Each eigenvalue lam is refined by Newton's method on the characteristic
+    polynomial.  Its eigenvector is a column of adj(s - lam I), normalised:
+    column j is formed only when the columns before it have no norm of
+    known positive sign."""
     if s.domain is TOWER:
         raise DomainError("sym_eigen_lift needs a Puiseux matrix; use sym_eigen_tower")
     _check_symmetric(s)
@@ -807,9 +834,9 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
     branches = _newton_polygon_branches(coeffs)
     slack = order + 4
     lams = []
+    deriv = [c * (n - k) for k, c in enumerate(coeffs[:-1])]
     for mu, z in branches:
         lam = PuiseuxScalar.monomial(z, mu)
-        deriv = [c * (len(coeffs) - 1 - k) for k, c in enumerate(coeffs[:-1])]
         cutoff = mu - slack
         for _ in range(100):
             f = _poly_eval_puiseux(coeffs, lam)
@@ -824,11 +851,10 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
     lams.sort(key=_exact_key, reverse=True)
     cols = []
     for lam in lams:
-        shifted = s - Matrix.identity(n, s.domain) * lam
-        adj = _adjugate(shifted)
+        shifted = _shift_diagonal(s.data, -lam)
         chosen = None
         for j in range(n):
-            v = [adj.data[i][j] for i in range(n)]
+            v = _adjugate_column(shifted, j, s.domain)
             norm2 = _dot(v, v, s.domain)
             try:
                 if norm2.sign() == 1:

@@ -16,9 +16,18 @@ Truncation is tracked per value.  Operations that must choose a working
 order (invert, sqrt_positive, eigen-lifting downstream) take a relative
 order parameter, in exponent units below the leading term.  Matrices carry
 theirs in their scalar domain (linalg.PuiseuxDomain(order)); the default,
-DEFAULT_REL_ORDER = 8, is a constant that nothing in rcg writes.  The
-series of invert and sqrt_positive keep an input's tail: a power of the
-normalised remainder that is only a tail ends the sum and bounds it.
+DEFAULT_REL_ORDER = 8, is a constant that nothing in rcg writes.
+
+invert and sqrt_positive write a = c0 X^e0 (1 + t), t the normalised
+remainder (every exponent below 0), and fill the coefficients of 1/(1 + t)
+or sqrt(1 + t) by one coefficient recurrence (Knuth, TAOCP vol. 2, 4.7):
+b = 1 - t b, or r^2 = 1 + t, solved for one exponent at a time on the
+integer lattice of t's exponents, from X^0 down to the floor max(-order,
+tail of t).  That floor is the result's tail (shifted back by -e0, or by
+e0/2).  Nothing below the tail of t is known, and the power sums of t
+reach no lower either: tail(t^k) = tail(t) + (k - 1) lead(t) is largest at
+k = 1.  No series product is formed; N lattice points cost O(N^2) tower
+operations.
 
 Below-tail rule: a term below a value's tail is unknown, so no operation
 forms one.  A product works out its tail first, max(tail_a + lead_b,
@@ -41,6 +50,10 @@ F = Fraction
 
 #: default relative truncation width used when an operation must choose one
 DEFAULT_REL_ORDER = F(8)
+
+_ZERO = TowerScalar.coerce(0)
+_ONE = TowerScalar.coerce(1)
+_HALF = F(1, 2)
 
 
 class PuiseuxScalar:
@@ -146,7 +159,13 @@ class PuiseuxScalar:
         return PuiseuxScalar._trusted(_above(self.terms, cutoff), cutoff)
 
     def coefficient(self, exponent) -> TowerScalar:
+        """The coefficient of X^exponent, 0 where no term is stored.
+        IndeterminateSign below the tail, where the coefficient is unknown."""
         exponent = F(exponent)
+        if self.tail is not None and exponent < self.tail:
+            raise IndeterminateSign(
+                f"coefficient of X^({exponent}) unknown below O(X^({self.tail}))"
+            )
         for e, c in self.terms:
             if e == exponent:
                 return c
@@ -230,19 +249,9 @@ class PuiseuxScalar:
         tail = max(cands) if cands else None
         if not a or not b:
             return PuiseuxScalar._trusted((), tail)
-        # Exponents as integers over one common denominator: the sums, the
-        # tail test and the grouping then cost an int operation each.
-        den = 1
-        for e, _ in a + b:
-            den = lcm(den, e.denominator)
-        if tail is not None:
-            den = lcm(den, tail.denominator)
-        ka = [(e.numerator * (den // e.denominator), c) for e, c in a]
-        kb = [(e.numerator * (den // e.denominator), c) for e, c in b]
-        if tail is None:
+        den, (ka, kb), low = _lattice(tail, a, b)
+        if low is None:
             low = ka[-1][0] + kb[-1][0]  # the lowest sum: nothing is cut
-        else:
-            low = tail.numerator * (den // tail.denominator)
         top = kb[0][0]
         sums = {}
         for k1, c1 in ka:
@@ -289,9 +298,12 @@ class PuiseuxScalar:
     # -- field operations ---------------------------------------------------
 
     def invert(self, target_order=None) -> "PuiseuxScalar":
-        """Multiplicative inverse by geometric expansion around the leading
-        term, carried so that a * invert(a) = 1 + O(X^(lead - target_order)).
-        Exact for monomials."""
+        """Multiplicative inverse, carried so that a * invert(a) = 1 +
+        O(X^(lead - target_order)).  Exact for monomials.
+
+        With a = c0 X^e0 (1 + t), b = 1/(1 + t) satisfies b = 1 - t b: its
+        coefficients are filled from X^0 down to the floor max(-target_order,
+        tail of t), one lattice point at a time."""
         if self.sign() == 0:
             raise IndeterminateSign("inverse of exact zero")  # pragma: no cover
         order = F(target_order) if target_order is not None else DEFAULT_REL_ORDER
@@ -299,18 +311,15 @@ class PuiseuxScalar:
         c0inv = c0.inv()
         if len(self.terms) == 1 and self.tail is None:
             return PuiseuxScalar.monomial(c0inv, -e0)
-        u = self * PuiseuxScalar.monomial(c0inv, -e0)
-        t = PuiseuxScalar.constant(1) - u  # all exponents < 0
-        cutoff = -order
-        total = PuiseuxScalar.constant(1)
-        power = PuiseuxScalar.constant(1)
-        while True:
-            power = (power * t).truncate_below(cutoff)
-            total = total + power
-            if not power.terms:
-                break  # a tail-only power: every later one lies below it
-        total = total.truncate_below(cutoff)
-        return total * PuiseuxScalar.monomial(c0inv, -e0)
+        den, t, low = self._rest(c0inv, order)
+        b = [_ONE]  # b[j]: the coefficient of X^(-j/den)
+        for j in range(1, 1 - low):
+            acc = _ZERO
+            for k, c in reversed(t):  # k < 0 increasing: b_0 t_(-j) first
+                if j + k >= 0 and not b[j + k].is_zero():
+                    acc = acc + b[j + k] * c
+            b.append(-acc)
+        return _from_lattice(b, den, low, -e0, c0inv)
 
     def __truediv__(self, other):
         other = _operand(other)
@@ -325,11 +334,15 @@ class PuiseuxScalar:
         return other * self.invert()
 
     def sqrt_positive(self, target_order=None) -> "PuiseuxScalar":
-        """Positive square root via the binomial series on the normalised
-        tail.  The leading coefficient's root is taken in the tower (which
-        may extend it) and the ramification may double.  When the input is
+        """Positive square root, carried to the relative order target_order.
+        The leading coefficient's root is taken in the tower (which may
+        extend it) and the ramification may double.  When the input is
         exact and the computed finite sum squares back exactly, the result
-        is returned Exact."""
+        is returned Exact.
+
+        With a = c0 X^e0 (1 + t), the series r = sqrt(1 + t) satisfies
+        r^2 = 1 + t; its coefficients are filled from X^0 down to the floor
+        max(-target_order, tail of t), one lattice point at a time."""
         s = self.sign()
         if s != 1:
             raise NotPositive("sqrt_positive needs a positive series")
@@ -338,27 +351,37 @@ class PuiseuxScalar:
         root0 = tower_sqrt(c0)
         if len(self.terms) == 1 and self.tail is None:
             return PuiseuxScalar.monomial(root0, e0 / 2)
-        u = self * PuiseuxScalar.monomial(c0.inv(), -e0)
-        t = u - PuiseuxScalar.constant(1)
-        cutoff = -order
-        total = PuiseuxScalar.constant(1)
-        power = PuiseuxScalar.constant(1)
-        binom = F(1)
-        k = 0
-        while True:
-            k += 1
-            binom = binom * (F(1, 2) - (k - 1)) / k
-            power = (power * t).truncate_below(cutoff)
-            total = total + PuiseuxScalar.constant(binom) * power
-            if not power.terms:
-                break  # a tail-only power: every later one lies below it
-        total = total.truncate_below(cutoff)
-        result = total * PuiseuxScalar.monomial(root0, e0 / 2)
+        den, t, low = self._rest(c0.inv(), order)
+        t = dict(t)
+        r = [_ONE]  # r[j]: the coefficient of X^(-j/den)
+        for j in range(1, 1 - low):
+            # r_j = (t_j - sum of r_i r_(j-i) over 0 < i < j) / 2, each
+            # pair i < j - i formed once and doubled
+            cross = _ZERO
+            for i in range(1, (j + 1) // 2):
+                if not (r[i].is_zero() or r[j - i].is_zero()):
+                    cross = cross + r[i] * r[j - i]
+            cross = cross + cross
+            if j % 2 == 0 and not r[j // 2].is_zero():
+                cross = cross + r[j // 2] * r[j // 2]
+            r.append((t.get(-j, _ZERO) - cross) * _HALF)
+        result = _from_lattice(r, den, low, e0 / 2, root0)
         if self.tail is None:
             exact = PuiseuxScalar._trusted(result.terms, None)
             if exact * exact == self:
                 return exact
         return result
+
+    def _rest(self, c0inv, order):
+        """(den, t, low) for self = c0 X^e0 (1 + t): t's terms at or above
+        the floor max(-order, tail of t), the lowest exponent known of a
+        series in t, as (k, coefficient) at the exponents k/den (k < 0,
+        decreasing), and low = floor * den."""
+        e0 = self.terms[0][0]
+        rest = tuple((e - e0, c * c0inv) for e, c in self.terms[1:])
+        floor = -order if self.tail is None else max(-order, self.tail - e0)
+        den, (t,), low = _lattice(floor, rest)
+        return den, [(k, c) for k, c in t if k >= low], low
 
     def specialize(self, value) -> TowerScalar:
         """Evaluate the stored terms exactly at X = value (a positive
@@ -435,6 +458,32 @@ def _operand(x):
     if isinstance(x, (int, Fraction, TowerScalar)):
         return PuiseuxScalar.constant(x)
     return None
+
+
+def _lattice(tail, *term_lists):
+    """(den, lists, low): every exponent of the term lists written as an
+    integer k = e * den over one common denominator den, the lcm of their
+    exponent denominators and the tail's, so that sums and comparisons of
+    exponents cost an int operation each; lists holds each list as (k, c)
+    pairs, and low is tail * den (None for no tail)."""
+    den = 1
+    for terms in term_lists:
+        for e, _ in terms:
+            den = lcm(den, e.denominator)
+    if tail is not None:
+        den = lcm(den, tail.denominator)
+    lists = [[(e.numerator * (den // e.denominator), c) for e, c in terms]
+             for terms in term_lists]
+    low = None if tail is None else tail.numerator * (den // tail.denominator)
+    return den, lists, low
+
+
+def _from_lattice(coeffs, den, low, shift, scale) -> PuiseuxScalar:
+    """The series sum of coeffs[j] * scale * X^(shift - j/den) over the j
+    with -j >= low, plus O(X^(shift + low/den))."""
+    terms = tuple((shift - F(j, den), c * scale)
+                  for j, c in enumerate(coeffs) if -j >= low and not c.is_zero())
+    return PuiseuxScalar._trusted(terms, shift + F(low, den))
 
 
 def _above(terms: tuple, cutoff) -> tuple:

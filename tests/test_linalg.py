@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 from rcg.errors import (
     DegenerateLeadingSpectrum,
     DomainError,
+    IndeterminateSign,
     RepeatedEigenvalue,
     SingularMatrix,
     UnsolvableSpectrum,
 )
 from rcg.linalg import (
     PUISEUX,
+    TOWER,
     Matrix,
+    _adjugate_column,
+    _special_orthogonal,
     char_poly,
     det,
     inverse,
@@ -411,3 +415,67 @@ def test_rational_kernel_falls_back_on_a_radical():
         assert all(x.tower == r2.tower for row in got.data for x in row)
     assert a + b == Matrix.tower([[a[i, j] + b[i, j] for j in range(2)] for i in range(2)])
     assert a * solve(a, b) == b
+
+
+# ---------------------------------------------------------------------------
+# the eigen lift's one adjugate column and the sign of det(V)
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = 1
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term if inversions % 2 == 0 else total - term
+    return total
+
+
+def _leibniz_adjugate(rows):
+    """adj(m)[i][j] = (-1)^(i+j) det(m without row j and column i)."""
+    n = len(rows)
+    if n == 1:
+        return [[1]]
+
+    def minor(r, c):
+        return [[x for k, x in enumerate(row) if k != c] for q, row in enumerate(rows) if q != r]
+
+    return [[(-1) ** (i + j) * _leibniz_det(minor(j, i)) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("field", ["tower", "puiseux"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_adjugate_column_matches_leibniz(field, n):
+    rng = random.Random(n)
+    r2 = sqrt_positive(2)
+
+    def entry():
+        x = F(rng.randint(-3, 3), rng.randint(1, 2)) + rng.randint(-1, 1) * r2
+        if field == "tower":
+            return x
+        tail = rng.choice([None, -3])
+        return PuiseuxScalar(((rng.randint(-1, 1), x), (-1, F(rng.randint(-2, 2)))), tail)
+
+    m = Matrix.tower([[entry() for _ in range(n)] for _ in range(n)]) if field == "tower" \
+        else Matrix.puiseux([[entry() for _ in range(n)] for _ in range(n)])
+    adj = _leibniz_adjugate(m.data)
+    for j in range(n):
+        assert _adjugate_column(m.data, j, m.domain) == [adj[i][j] for i in range(n)]
+
+
+def test_det_sign_of_v_is_read_at_x0():
+    c, s = F(3, 5), F(4, 5)
+    flipped = _special_orthogonal([[c, s], [s, -c]], TOWER)  # det -1
+    assert det(flipped) == 1
+    # the same columns plus terms below X^0: only X^0 decides
+    p = PuiseuxScalar.coerce
+    tail = PuiseuxScalar((), tail=-2)
+    v = _special_orthogonal([[c + X ** -1, p(s)], [s + tail, p(-c)]], PUISEUX)
+    assert v[0, 1] == -(s + tail) and v[1, 1] == c
+    # an X^0 coefficient below a tail is unknown
+    with pytest.raises(IndeterminateSign):
+        _special_orthogonal([[PuiseuxScalar(((-1, 1),), tail=1), p(0)], [p(0), p(1)]], PUISEUX)
+    # det(V0) = 0: the sign of det(V) is not at X^0
+    with pytest.raises(IndeterminateSign):
+        _special_orthogonal([[p(1), p(0)], [p(0), X ** -1]], PUISEUX)

@@ -284,3 +284,85 @@ def test_operands_of_another_type_are_left_to_them():
         with pytest.raises(TypeError):
             op(two)
     assert tower_sqrt(2) + X == P([(1, 1), (0, tower_sqrt(2))])  # PuiseuxScalar.__radd__
+
+
+def test_coefficient_below_the_tail_is_unknown():
+    a = P(((2, 1),), tail=1)  # X^2 + O(X)
+    assert a.coefficient(2) == 1
+    assert a.coefficient(1) == 0  # at the tail: known to be absent
+    with pytest.raises(IndeterminateSign):
+        a.coefficient(0)
+    assert P(((2, 1),)).coefficient(0) == 0
+
+
+# ---------------------------------------------------------------------------
+# invert and sqrt_positive against the power sums they replace: the same
+# terms and the same tail
+
+def _reference_invert(a, order):
+    """1/a as the geometric sum of (1 - u)^k, u = a / (c0 X^e0), each power
+    truncated below -order; the sum ends at the first power with no term."""
+    e0, c0 = a.lead()
+    c0inv = c0.inv()
+    if len(a.terms) == 1 and a.tail is None:
+        return mono(c0inv, -e0)
+    t = const(1) - a * mono(c0inv, -e0)
+    total = power = const(1)
+    while True:
+        power = (power * t).truncate_below(-order)
+        total = total + power
+        if not power.terms:
+            break
+    return total.truncate_below(-order) * mono(c0inv, -e0)
+
+
+def _reference_sqrt(a, order):
+    """sqrt(a) as the binomial sum of binom(1/2, k) (u - 1)^k, truncated
+    like _reference_invert; exact when the sum squares back to an exact a."""
+    e0, c0 = a.lead()
+    root0 = tower_sqrt(c0)
+    if len(a.terms) == 1 and a.tail is None:
+        return mono(root0, e0 / 2)
+    t = a * mono(c0.inv(), -e0) - const(1)
+    total = power = const(1)
+    binom = F(1)
+    k = 0
+    while True:
+        k += 1
+        binom = binom * (F(1, 2) - (k - 1)) / k
+        power = (power * t).truncate_below(-order)
+        total = total + const(binom) * power
+        if not power.terms:
+            break
+    result = total.truncate_below(-order) * mono(root0, e0 / 2)
+    if a.tail is None and P(result.terms) * P(result.terms) == a:
+        return P(result.terms)
+    return result
+
+
+@st.composite
+def positive_series(draw):
+    """A positive series, exact or with a tail, with exponent denominators
+    1 to 3 and rational or radical coefficients, and a working order q,
+    an integer or a fraction."""
+    den = st.sampled_from([1, 2, 3])
+    lead = F(draw(st.integers(-6, 6)), draw(den))
+    drop = st.builds(F, st.integers(1, 12), den)
+    rational = st.fractions(-3, 3, max_denominator=3)
+    radical = st.builds(lambda p, r, s: p + r * s, rational, rational,
+                        st.sampled_from([_R2, _R3]))
+    coeff = rational | radical
+    top = draw(st.fractions(F(1, 3), 3, max_denominator=3) | st.sampled_from([1 + _R2, _R3]))
+    terms = [(lead, top)] + [(lead - d, draw(coeff)) for d in draw(st.lists(drop, max_size=5))]
+    tail = draw(st.none() | st.builds(lambda d: lead - d, drop))
+    q = draw(st.integers(1, 8).map(F) | st.builds(F, st.integers(1, 24), den))
+    return P(terms, tail), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_series(), st.sampled_from([1, -1]))
+def test_invert_and_sqrt_match_the_power_sums(case, sign):
+    a, q = case
+    # == compares the terms and the tail
+    assert (sign * a).invert(q) == _reference_invert(sign * a, q)
+    assert a.sqrt_positive(q) == _reference_sqrt(a, q)
