@@ -217,7 +217,7 @@ class Matrix:
 
     def trace(self):
         domain, rows = _lower(self)
-        return _lift_scalar(domain, _trace(domain, rows))
+        return _lift_scalar(domain, _sum(domain, [r[i] for i, r in enumerate(rows)]))
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -327,10 +327,6 @@ def _lift(domain, rows) -> Matrix:
 
 def _lift_scalar(domain, x):
     return TowerScalar(_QQ, (x,)) if domain is _Q else x
-
-
-def _trace(domain, rows):
-    return _sum(domain, [r[i] for i, r in enumerate(rows)])
 
 
 def _sum(domain, xs):
