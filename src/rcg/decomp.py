@@ -80,10 +80,6 @@ class BruhatResult(_Factorisation):
     b2: GroupElement
 
 
-def _group(mat: Matrix) -> GroupElement:
-    return GroupElement(mat)
-
-
 # ---------------------------------------------------------------------------
 # Iwasawa
 
@@ -123,10 +119,10 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
         dom,
         [[qhat[j][i] * inv_r[j] for j in range(n)] for i in range(n)],
     )
-    a_mat = Matrix(dom, [[r_diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    a_mat = Matrix.diagonal(r_diag, dom)
     u_mat = Matrix(dom, u_rows)
     if dom is not TOWER:
-        k = _group(k_mat)
+        k = GroupElement(k_mat)
     else:
         d = det(Matrix(dom, list(zip(*qhat))))
         for x in inv_r:
@@ -134,7 +130,7 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
         if not dom.is_zero(d - dom.one):
             raise DomainError(f"determinant of k is {d}, not 1")
         k = GroupElement._unchecked(k_mat)
-    return KAUResult(k, _group(a_mat), _group(u_mat))
+    return KAUResult(k, GroupElement(a_mat), GroupElement(u_mat))
 
 
 def _flip(m: Matrix) -> Matrix:
@@ -196,7 +192,7 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     a_diag = [dom.sqrt_positive(lam) for lam in lams]
     inv_a = [dom.invert(x) for x in a_diag]
     n = g.n
-    a_mat = Matrix(dom, [[a_diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    a_mat = Matrix.diagonal(a_diag, dom)
     k2 = vmat.transpose()
     k1 = Matrix(
         dom,
@@ -205,7 +201,7 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
             for i in range(n)
         ],
     )
-    return KAKResult(_group(k1), _group(a_mat), _group(k2))
+    return KAKResult(GroupElement(k1), GroupElement(a_mat), GroupElement(k2))
 
 
 def kak_uniqueness_check(g: GroupElement, res1: KAKResult, res2: KAKResult) -> GroupElement:
@@ -297,7 +293,7 @@ def bruhat(g: GroupElement) -> BruhatResult:
     b1 = Matrix(dom, linv)
     b2 = Matrix(dom, [[d_diag[i] * rinv[i][j] for j in range(n)] for i in range(n)])
     w = Matrix(dom, w_rows)
-    res = BruhatResult(_group(b1), _group(w), _group(b2))
+    res = BruhatResult(GroupElement(b1), GroupElement(w), GroupElement(b2))
     if bruhat_permutation(g) != pivot_row_of:
         raise InternalError("rank-matrix invariant disagrees with elimination")
     return res

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import gcd
 
 from .decomp import a_component
 from .errors import DomainError, InternalError, PrecisionExhausted
 from .linalg import TOWER, Matrix
-from .rootsys import build, cone_data
+from .rootsys import _primitive, build, cone_data
 from .slgroup import GroupElement, member_A
 
 F = Fraction
@@ -54,7 +53,7 @@ class ChamberPoint:
 
     @staticmethod
     def from_diagonal(entries, domain=None) -> "ChamberPoint":
-        return ChamberPoint(GroupElement(_diagonal(entries, domain or TOWER)))
+        return ChamberPoint(GroupElement(Matrix.diagonal(entries, domain or TOWER)))
 
     def diagonal(self):
         return [self.element.mat.data[i][i] for i in range(self.n)]
@@ -63,13 +62,6 @@ class ChamberPoint:
         return isinstance(other, ChamberPoint) and self.element == other.element
 
     __hash__ = None
-
-
-def _diagonal(entries, domain) -> Matrix:
-    n = len(entries)
-    return Matrix(
-        domain, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    )
 
 
 def chamber_projection(a: GroupElement) -> ChamberPoint:
@@ -85,7 +77,7 @@ def chamber_projection(a: GroupElement) -> ChamberPoint:
         while j > 0 and dom.sign(diag[j - 1] - diag[j]) < 0:
             diag[j - 1], diag[j] = diag[j], diag[j - 1]
             j -= 1
-    return ChamberPoint(GroupElement._unchecked(_diagonal(diag, dom)))
+    return ChamberPoint(GroupElement._unchecked(Matrix.diagonal(diag, dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +105,10 @@ def _derive_chars(n: int) -> tuple:
             e_vec[k] += c
             e_vec[k + 1] -= c
         shift = e_vec[-1]
-        vec = [x - shift for x in e_vec]
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        vec = [x // g for x in vec]
-        if vec != [1] * (j + 1) + [0] * (n - j - 1):
+        vec = _primitive([x - shift for x in e_vec])
+        if vec != (1,) * (j + 1) + (0,) * (n - j - 1):
             raise InternalError("cone data does not reduce to partial products")
-        chars.append(tuple(vec))
+        chars.append(vec)
     return tuple(chars)
 
 

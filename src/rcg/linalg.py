@@ -6,6 +6,9 @@ relative truncation order of every inverse and square root taken through
 it (PUISEUX is the one at puiseux.DEFAULT_REL_ORDER).  Elimination pivots
 are chosen by exact zero tests; when a truncated Puiseux entry cannot be
 classified the operation aborts with IndeterminateSign instead of guessing.
+Two constructors build the shapes the group modules work with:
+Matrix.diagonal(entries) (torus elements; Matrix.identity is built on it)
+and Matrix.unit(n, i, j, x), the root vector x E_ij.
 
 The symmetric eigen solvers back the Cartan decomposition: sym_eigen_tower
 factors the characteristic polynomial over the tower (rational roots plus
@@ -182,9 +185,22 @@ class Matrix:
         return Matrix(PUISEUX, rows)
 
     @staticmethod
-    def identity(n: int, domain: ScalarDomain = TOWER) -> "Matrix":
+    def diagonal(entries, domain: ScalarDomain = TOWER) -> "Matrix":
+        """The square matrix with these diagonal entries, zero elsewhere."""
+        n = len(entries)
         return Matrix(
-            domain, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            domain, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        )
+
+    @staticmethod
+    def identity(n: int, domain: ScalarDomain = TOWER) -> "Matrix":
+        return Matrix.diagonal([1] * n, domain)
+
+    @staticmethod
+    def unit(n: int, i: int, j: int, x=1, domain: ScalarDomain = TOWER) -> "Matrix":
+        """x E_ij: the n x n matrix with x at (i, j), zero elsewhere."""
+        return Matrix(
+            domain, [[x if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)]
         )
 
     @staticmethod
@@ -559,11 +575,15 @@ def _shift_diagonal(rows, c):
 # ---------------------------------------------------------------------------
 # root finding over the tower
 
-def _divisors(n: int, limit: int = 10**12):
+#: largest constant coefficient whose divisors the rational-root search tries
+_DIVISOR_LIMIT = 10**12
+
+
+def _divisors(n: int):
     n = abs(n)
     if n == 0:
         return []
-    if n > limit:
+    if n > _DIVISOR_LIMIT:
         raise UnsolvableSpectrum("constant coefficient too large for root search")
     out = []
     d = 1
@@ -607,24 +627,15 @@ def tower_roots(coeffs: list) -> list:
         raise UnsolvableSpectrum(
             f"degree-{deg} factorisation over the tower needs rational coefficients"
         )
-    den = 1
-    for f in fracs:
-        den = lcm(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    root = None
+    ints, _ = _integer_scaled(fracs)
     if ints[-1] == 0:
         root = F(0)
     else:
-        for p in _divisors(ints[-1]):
-            for q in _divisors(ints[0]):
-                for cand in (F(p, q), F(-p, q)):
-                    if _eval_poly(fracs, cand) == 0:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is not None:
-                break
+        lead_divisors = _divisors(ints[0])
+        candidates = (
+            F(s * p, q) for p in _divisors(ints[-1]) for q in lead_divisors for s in (1, -1)
+        )
+        root = next((c for c in candidates if _eval_poly(fracs, c) == 0), None)
     if root is None:
         raise UnsolvableSpectrum(f"no rational root for degree-{deg} factor")
     # synthetic division by (x - root)
@@ -788,15 +799,6 @@ def _newton_polygon_branches(coeffs):
     return branches
 
 
-def _poly_eval_puiseux(coeffs, x: PuiseuxScalar) -> PuiseuxScalar:
-    # no explicit working cutoff: the per-value tails already bound what is
-    # reliable, and mid-sum cancellations make scale estimates unsafe
-    acc = PuiseuxScalar.coerce(coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * x + PuiseuxScalar.coerce(c)
-    return acc
-
-
 def _adjugate_column(rows, j, domain) -> list:
     """Column j of adj(m) for the square matrix m with these rows: entry i
     is (-1)^(i+j) times the minor of m without row j and column i."""
@@ -835,8 +837,10 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
         lam = PuiseuxScalar.monomial(z, mu)
         cutoff = mu - slack
         for _ in range(100):
-            f = _poly_eval_puiseux(coeffs, lam)
-            fp = _poly_eval_puiseux(deriv, lam)
+            # no explicit working cutoff: the per-value tails already bound what
+            # is reliable, and mid-sum cancellations make scale estimates unsafe
+            f = _eval_poly(coeffs, lam)
+            fp = _eval_poly(deriv, lam)
             update = (f * fp.invert(slack)).truncate_below(cutoff)
             lam = (lam - update).truncate_below(cutoff)
             if not update.truncate_below(mu - order).terms:

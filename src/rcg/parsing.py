@@ -192,12 +192,17 @@ class _Grammar:
         return F(sign * num)
 
 
-def parse_scalar(text: str, field: str | ScalarDomain = "tower"):
-    toks = _Tokens(text)
-    value = _Grammar(field).scalar(toks)
+def _parse_all(grammar: _Grammar, toks: _Tokens):
+    """The scalar that spans all of toks; ParseError on trailing input."""
+    value = grammar.scalar(toks)
     if toks.peek()[0] != "eof":
         toks.error(f"trailing input {toks.peek()[1]!r}")
     return value
+
+
+def parse_scalar(text: str, field: str | ScalarDomain = "tower"):
+    toks = _Tokens(text)  # a bad character is reported before a bad field
+    return _parse_all(_Grammar(field), toks)
 
 
 def parse_matrix(text: str, field: str | ScalarDomain = "tower") -> Matrix:
@@ -212,11 +217,7 @@ def parse_matrix(text: str, field: str | ScalarDomain = "tower") -> Matrix:
         for part in chunk.split(","):
             if not part.strip():
                 raise ParseError("empty matrix entry", line_no, 1)
-            toks = _Tokens(part)
-            value = grammar.scalar(toks)
-            if toks.peek()[0] != "eof":
-                toks.error(f"trailing input {toks.peek()[1]!r}")
-            row.append(value)
+            row.append(_parse_all(grammar, _Tokens(part)))
         rows.append(row)
     if not rows:
         raise ParseError("empty matrix")

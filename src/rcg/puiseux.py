@@ -43,7 +43,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import IndeterminateSign, NotPositive, UnsupportedExponent
+from .errors import (
+    DivisionByZero,
+    DomainError,
+    IndeterminateSign,
+    NotPositive,
+    UnsupportedExponent,
+)
 from .tower import TowerScalar, sqrt_positive as tower_sqrt
 
 F = Fraction
@@ -140,7 +146,7 @@ class PuiseuxScalar:
         """(exponent, coefficient) of the leading term."""
         if not self.terms:
             self.is_zero()  # raises if truncated
-            raise ValueError("zero series has no leading term")
+            raise DomainError("zero series has no leading term")
         return self.terms[0]
 
     def sign(self) -> int:
@@ -305,7 +311,7 @@ class PuiseuxScalar:
         coefficients are filled from X^0 down to the floor max(-target_order,
         tail of t), one lattice point at a time."""
         if self.sign() == 0:
-            raise IndeterminateSign("inverse of exact zero")  # pragma: no cover
+            raise DivisionByZero("inverse of zero")
         order = F(target_order) if target_order is not None else DEFAULT_REL_ORDER
         e0, c0 = self.lead()
         c0inv = c0.inv()

@@ -13,9 +13,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial, gcd, prod
+from operator import mul
 
 from .errors import InternalError, UnsupportedType
-from .linalg import Matrix, det
+from .linalg import Matrix, _integer_scaled, det, kernel
 
 F = Fraction
 
@@ -27,10 +28,7 @@ class RootSystem:
         self.name = name
         self.rank = len(gram)
         self.gram = tuple(tuple(F(x) for x in row) for row in gram)
-        self.simple_roots = tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        self.simple_roots = _identity(self.rank)
         self.all_roots = self._generate()
         self.positive_roots = tuple(
             r for r in self.all_roots if _is_positive(r)
@@ -159,24 +157,14 @@ class WeylGroup:
         return len(self.elements)
 
     def compose(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        n = len(a.matrix)
-        mat = tuple(
-            tuple(
-                sum(a.matrix[i][k] * b.matrix[k][j] for k in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
+        mat = _matmul(a.matrix, b.matrix)
         for e in self.elements:
             if e.matrix == mat:
                 return e
         raise InternalError("Weyl group not closed")
 
     def element_orders(self):
-        identity = tuple(
-            tuple(1 if i == j else 0 for j in range(self.system.rank))
-            for i in range(self.system.rank)
-        )
+        identity = _identity(self.system.rank)
         orders = []
         for e in self.elements:
             k, cur = 1, e
@@ -185,6 +173,16 @@ class WeylGroup:
                 k += 1
             orders.append(k)
         return sorted(orders)
+
+
+def _identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _matmul(a, b):
+    """The product of two square integer matrices stored as row tuples."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def weyl(rs: RootSystem) -> WeylGroup:
@@ -200,22 +198,14 @@ def weyl(rs: RootSystem) -> WeylGroup:
         return tuple(zip(*cols))
 
     gens = [WeylElement(reflection_matrix(i), (i,)) for i in range(n)]
-    identity = WeylElement(
-        tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), ()
-    )
+    identity = WeylElement(_identity(n), ())
     seen = {identity.matrix: identity}
     frontier = [identity]
     while frontier:
         new = []
         for w in frontier:
             for g in gens:
-                mat = tuple(
-                    tuple(
-                        sum(g.matrix[i][k] * w.matrix[k][j] for k in range(n))
-                        for j in range(n)
-                    )
-                    for i in range(n)
-                )
+                mat = _matmul(g.matrix, w.matrix)
                 if mat not in seen:
                     elem = WeylElement(mat, g.word + w.word)
                     seen[mat] = elem
@@ -280,11 +270,12 @@ def cone_data(rs: RootSystem) -> ConeData:
             vec = (1,)
         else:
             rows = [
-                [rs.inner(_unit(r, k), x[i]) for k in range(r)]
-                for i in range(r)
-                if i != j
+                [rs.inner(d, x[i]) for d in rs.simple_roots] for i in range(r) if i != j
             ]
-            vec = _primitive_integer_kernel(rows, r)
+            basis = kernel(Matrix.tower(rows))
+            if len(basis) != 1:
+                raise InternalError("facet normal is not one-dimensional")
+            vec = _primitive([q.as_fraction() for q in basis[0]])
         if rs.inner(vec, x[j]) < 0:
             vec = tuple(-v for v in vec)
         if rs.inner(vec, x[j]) <= 0 or any(
@@ -296,48 +287,10 @@ def cone_data(rs: RootSystem) -> ConeData:
     return ConeData(rs, x, es, gammas)
 
 
-def _unit(r, k):
-    return tuple(1 if t == k else 0 for t in range(r))
-
-
-def _primitive_integer_kernel(rows, n):
-    """Primitive integer generator of the 1-dimensional kernel of the given
-    (n-1) x n rational matrix."""
-    m = [[F(x) for x in row] for row in rows]
-    piv_cols = []
-    pr = 0
-    for pc in range(n):
-        pivot = None
-        for i in range(pr, len(m)):
-            if m[i][pc] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[pr], m[pivot] = m[pivot], m[pr]
-        inv = 1 / m[pr][pc]
-        m[pr] = [a * inv for a in m[pr]]
-        for i in range(len(m)):
-            if i != pr and m[i][pc] != 0:
-                f = m[i][pc]
-                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-        piv_cols.append(pc)
-        pr += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    if len(free) != 1:
-        raise InternalError("facet normal is not one-dimensional")
-    fc = free[0]
-    v = [F(0)] * n
-    v[fc] = F(1)
-    for row_idx, pc in enumerate(piv_cols):
-        v[pc] = -m[row_idx][fc]
-    den = 1
-    for q in v:
-        den = den * q.denominator // gcd(den, q.denominator)
-    ints = [int(q * den) for q in v]
-    g = 0
-    for q in ints:
-        g = gcd(g, q)
+def _primitive(fracs) -> tuple:
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    ints, _ = _integer_scaled(fracs)
+    g = gcd(*ints)
     return tuple(q // g for q in ints)
 
 

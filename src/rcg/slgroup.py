@@ -156,13 +156,14 @@ def member_K(g: GroupElement) -> bool:
     )
 
 
+def _is_diagonal(mat: Matrix) -> bool:
+    n = mat.nrows
+    return all(_is_zero(mat, i, j) for i in range(n) for j in range(n) if i != j)
+
+
 def member_A(g: GroupElement) -> bool:
-    n = g.n
-    for i in range(n):
-        for j in range(n):
-            if i != j and not _is_zero(g.mat, i, j):
-                return False
-    return all(g.mat.domain.sign(g.mat.data[i][i]) == 1 for i in range(n))
+    dom, d = g.mat.domain, g.mat.data
+    return _is_diagonal(g.mat) and all(dom.sign(d[i][i]) == 1 for i in range(g.n))
 
 
 def member_U(g: GroupElement) -> bool:
@@ -177,14 +178,9 @@ def member_U(g: GroupElement) -> bool:
 
 
 def member_M(g: GroupElement) -> bool:
-    n = g.n
-    dom = g.mat.domain
-    for i in range(n):
-        for j in range(n):
-            if i != j and not _is_zero(g.mat, i, j):
-                return False
-    return all(
-        dom.is_zero(g.mat.data[i][i] * g.mat.data[i][i] - dom.one) for i in range(n)
+    dom, d = g.mat.domain, g.mat.data
+    return _is_diagonal(g.mat) and all(
+        dom.is_zero(d[i][i] * d[i][i] - dom.one) for i in range(g.n)
     )
 
 
@@ -236,40 +232,27 @@ def root_space_decompose(x: Matrix) -> RootDecomposition:
     if not dom.is_zero(x.trace()):
         raise DomainError("root space decomposition needs a traceless matrix")
     n = x.nrows
-    zero_part = Matrix(
-        dom, [[x.data[i][j] if i == j else 0 for j in range(n)] for i in range(n)]
-    )
+    zero_part = Matrix.diagonal([x.data[i][i] for i in range(n)], dom)
     comps = {}
     for i in range(n):
         for j in range(n):
-            if i == j:
-                continue
-            if not dom.is_zero(x.data[i][j]):
-                comps[RootIndex(i, j)] = Matrix(
-                    dom,
-                    [
-                        [x.data[a][b] if (a, b) == (i, j) else 0 for b in range(n)]
-                        for a in range(n)
-                    ],
-                )
+            if i != j and not dom.is_zero(x.data[i][j]):
+                comps[RootIndex(i, j)] = Matrix.unit(n, i, j, x.data[i][j], dom)
     return RootDecomposition(zero_part, comps)
+
+
+def _coroot_basis(n: int, dom):
+    """The coroots H_k = E_kk - E_{k+1,k+1}, k = 0 .. n-2."""
+    return [
+        Matrix.diagonal([1 if t == k else -1 if t == k + 1 else 0 for t in range(n)], dom)
+        for k in range(n - 1)
+    ]
 
 
 def _sl_basis(n: int, dom):
     """Basis of sl_n: the E_ij (i != j) then H_k = E_kk - E_{k+1,k+1}."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                basis.append(
-                    Matrix(dom, [[1 if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)])
-                )
-    for k in range(n - 1):
-        rows = [[0] * n for _ in range(n)]
-        rows[k][k] = 1
-        rows[k + 1][k + 1] = -1
-        basis.append(Matrix(dom, rows))
-    return basis
+    units = [Matrix.unit(n, i, j, domain=dom) for i in range(n) for j in range(n) if i != j]
+    return units + _coroot_basis(n, dom)
 
 
 def _sl_coords(m: Matrix):
@@ -325,17 +308,20 @@ def chi(alpha: RootIndex, a: GroupElement):
     return a.mat.data[alpha.i][alpha.i] * a.mat.domain.invert(a.mat.data[alpha.j][alpha.j])
 
 
+def _require_root_vector(x: Matrix, alpha: RootIndex) -> None:
+    """DomainError unless x is zero off the (alpha.i, alpha.j) entry."""
+    for p in range(x.nrows):
+        for q in range(x.ncols):
+            if (p, q) != (alpha.i, alpha.j) and not x.domain.is_zero(x.data[p][q]):
+                raise DomainError("X is not a single-root-space vector")
+
+
 def conj_root_vector(a: GroupElement, alpha: RootIndex, x: Matrix) -> Matrix:
     """a exp(X) a^{-1} for X in the root space of alpha; checks the closed
     form exp(chi_alpha(a) X) predicted for torus conjugation (InternalError
     if it fails)."""
-    dom = x.domain
-    n = x.nrows
-    for p in range(n):
-        for q in range(n):
-            if (p, q) != (alpha.i, alpha.j) and not dom.is_zero(x.data[p][q]):
-                raise DomainError("X is not a single-root-space vector")
-    one = Matrix.identity(n, dom)
+    _require_root_vector(x, alpha)
+    one = Matrix.identity(x.nrows, x.domain)
     conj = a.mat * (one + x) * inverse(a.mat)
     expected = one + x * chi(alpha, a)
     if conj != expected:
@@ -380,8 +366,7 @@ def m_elements(n: int):
 
     out = []
     for signs in product((1, -1), repeat=n):
-        rows = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        m = Matrix.tower(rows)
+        m = Matrix.diagonal(signs)
         if det(m) == 1:
             out.append(GroupElement(m))
     return out

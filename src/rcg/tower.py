@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DivisionByZero, NotPositive
+from .errors import DivisionByZero, DomainError, NotPositive
 
 Interval = tuple[Fraction, Fraction]
 
@@ -276,7 +276,7 @@ class TowerScalar:
 
     def lift_to(self, tower: Tower) -> "TowerScalar":
         if not self.tower.is_prefix_of(tower):
-            raise ValueError("lift target is not an extension")
+            raise DomainError("lift target is not an extension")
         pad = (1 << tower.depth) - len(self.coeffs)
         return TowerScalar(tower, self.coeffs + (_F0,) * pad)
 
@@ -542,6 +542,3 @@ def _format(rads: tuple, depth: int, coeffs: tuple) -> str:
         out += f" {sgn} {body}"
     return out
 
-
-ZERO = TowerScalar.from_fraction(0)
-ONE = TowerScalar.from_fraction(1)

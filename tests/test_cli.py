@@ -178,6 +178,25 @@ def test_cli_indeterminate_exit(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["tower", "puiseux"])
+def test_cli_division_by_exact_zero_is_a_domain_error(tmp_path, field):
+    code, out, err = run_cli(
+        ["--field", field, "iwasawa"],
+        files={"g.mat": "1/(1-1), 0; 0, 1"},
+        tmp_path=tmp_path,
+    )
+    assert (code, out, err) == (2, "", "domain error: inverse of zero\n")
+
+
+def test_cli_division_by_a_truncated_zero_stays_indeterminate(tmp_path):
+    code, out, err = run_cli(
+        ["--field", "puiseux", "iwasawa"],
+        files={"g.mat": "1/O(X^(0)), 0; 0, 1"},
+        tmp_path=tmp_path,
+    )
+    assert code == 3 and err.startswith("indeterminate:")
+
+
 def test_cli_bch(tmp_path):
     code, out, err = run_cli(
         ["bch"],

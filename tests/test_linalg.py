@@ -14,6 +14,7 @@ from rcg.errors import (
     SingularMatrix,
     UnsolvableSpectrum,
 )
+from rcg import linalg
 from rcg.linalg import (
     PUISEUX,
     TOWER,
@@ -40,6 +41,22 @@ def rand_matrix(rng, n, lo=-9, hi=9):
     return Matrix.tower(
         [[F(rng.randint(lo, hi), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
     )
+
+
+def test_diagonal_and_unit_constructors():
+    d = Matrix.diagonal([2, F(1, 3), -1])
+    assert d == Matrix.tower([[2, 0, 0], [0, F(1, 3), 0], [0, 0, -1]])
+    assert d.domain is TOWER
+    assert Matrix.identity(3) == Matrix.diagonal([1, 1, 1])
+    e = Matrix.unit(3, 0, 2, F(5, 2))
+    assert e == Matrix.tower([[0, 0, F(5, 2)], [0, 0, 0], [0, 0, 0]])
+    assert Matrix.unit(2, 1, 0) == Matrix.tower([[0, 0], [1, 0]])
+    # x E_ij E_jk = x E_ik, and E_ij E_kl = 0 for j != k
+    assert e * Matrix.unit(3, 2, 1) == Matrix.unit(3, 0, 1, F(5, 2))
+    assert e * Matrix.unit(3, 1, 0) == Matrix.zeros(3, 3)
+    p = Matrix.diagonal([X, 1], PUISEUX)
+    assert p.domain is PUISEUX and p[0, 0] == X and p[1, 0] == 0
+    assert Matrix.unit(2, 0, 1, X, PUISEUX)[0, 1] == X
 
 
 def test_det_basics():
@@ -116,6 +133,24 @@ def test_tower_roots_cubic_rational():
     assert any(r == 2 for r in roots)
     assert any(r == r2 for r in roots)
     assert any(r == -r2 for r in roots)
+
+
+def test_tower_roots_lists_the_leading_divisors_once(monkeypatch):
+    # (x - 3)(x^2 - 2): the search tries p = 1, 2, 3 and must not factor the
+    # leading coefficient again for each of them
+    calls = []
+    divisors = linalg._divisors
+
+    def counted(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(linalg, "_divisors", counted)
+    roots = tower_roots([1, -3, -2, 6])
+    assert roots[0] == 3
+    assert len(calls) == 2
+    # (x - 1/2)(x^2 - 2): a root with a denominator, found through q = 2
+    assert tower_roots([1, F(-1, 2), -2, 1])[0] == F(1, 2)
 
 
 def test_tower_roots_unsolvable():

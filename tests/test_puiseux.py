@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcg.errors import IndeterminateSign, NotPositive, UnsupportedExponent
+from rcg.errors import (
+    DivisionByZero,
+    DomainError,
+    IndeterminateSign,
+    NotPositive,
+    UnsupportedExponent,
+)
 from rcg.puiseux import X, PuiseuxScalar, invert, sign, specialize, sqrt_positive
 from rcg.tower import sqrt_positive as tower_sqrt
 
@@ -102,6 +108,19 @@ def test_sqrt_perfect_square_exact():
     r = sqrt_positive(a, 8)
     assert r.is_exact()
     assert r == X + 1
+
+
+def test_exact_zero_has_no_inverse_and_no_leading_term():
+    zero = P(())
+    with pytest.raises(DivisionByZero, match="inverse of zero"):
+        zero.invert()
+    with pytest.raises(DomainError, match="no leading term"):
+        zero.lead()
+    # a truncated zero is not known to be zero: its sign stays undecided
+    with pytest.raises(IndeterminateSign):
+        P((), tail=0).invert()
+    with pytest.raises(IndeterminateSign):
+        P((), tail=0).lead()
 
 
 def test_sqrt_errors():

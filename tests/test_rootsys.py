@@ -1,11 +1,15 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from rcg.errors import InternalError, UnsupportedType
+from rcg.kostant import kostant_chars
 from rcg.rootsys import (
+    _primitive,
     build,
     cone_data,
     eta_plus,
@@ -151,3 +155,26 @@ def test_weyl_order_formula_matches_enumeration(name):
 def test_weyl_order_needs_an_irreducible_system():
     with pytest.raises(UnsupportedType, match="irreducible"):
         weyl_order(RootSystem("A1xA1", [[2, 0], [0, 2]]))
+
+
+CONE_GOLDEN = json.loads((Path(__file__).parent / "cone_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CONE_GOLDEN))
+def test_cone_data_matches_the_golden_table(name):
+    # pinned per type: gamma and e, and for A_r the characters of SL_(r+1)
+    want = CONE_GOLDEN[name]
+    rs = build(name)
+    cd = cone_data(rs)
+    assert [list(g) for g in cd.gamma] == want["gamma"]
+    assert [list(v) for v in cd.e] == want["e"]
+    if "kostant_chars" in want:
+        assert [list(v) for v in kostant_chars(rs.rank + 1)] == want["kostant_chars"]
+
+
+def test_primitive_scales_to_the_smallest_integer_vector():
+    assert _primitive([4, 6, 0]) == (2, 3, 0)
+    assert _primitive([-2, -4]) == (-1, -2)
+    assert _primitive([F(1, 2), F(-1, 3)]) == (3, -2)
+    assert _primitive([F(3, 4)]) == (1,)
+    assert all(type(q) is int for q in _primitive([F(5, 6), F(10, 9)]))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rcg.errors import DivisionByZero, NotPositive
+from rcg.errors import DivisionByZero, DomainError, NotPositive
 from rcg.tower import TowerScalar, approx, invert, sign, sqrt_positive
 
 F = Fraction
@@ -43,6 +43,13 @@ def test_invert_rational_and_radical():
 def test_invert_zero_raises():
     with pytest.raises(DivisionByZero):
         invert(ts(0))
+
+
+def test_lift_onto_a_tower_that_does_not_extend_is_a_domain_error():
+    r2, r3 = sqrt_positive(2), sqrt_positive(3)
+    assert r2.lift_to((r2 + r3).tower) == r2
+    with pytest.raises(DomainError, match="not an extension"):
+        r2.lift_to(r3.tower)
 
 
 def test_sign_basics():
