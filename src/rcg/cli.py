@@ -49,9 +49,7 @@ def _truncation_order(text) -> Fraction:
         order = F(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"truncation order {text!r} is not a rational number") from None
-    if order <= 0:
-        raise DomainError("truncation order must be positive")
-    return order
+    return puiseux_mod._positive_order(order)
 
 
 def _matrix_block(m: Matrix):

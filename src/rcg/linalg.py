@@ -49,7 +49,7 @@ from .errors import (
     SingularMatrix,
     UnsolvableSpectrum,
 )
-from .puiseux import DEFAULT_REL_ORDER, PuiseuxScalar
+from .puiseux import DEFAULT_REL_ORDER, PuiseuxScalar, _positive_order
 from .tower import _QQ, TowerScalar
 from .tower import sqrt_positive as tower_sqrt
 
@@ -112,12 +112,13 @@ class _TowerDomain(ScalarDomain):
 
 class PuiseuxDomain(ScalarDomain):
     """The Puiseux field at one relative truncation order: invert and
-    sqrt_positive work to `order` exponent units below the leading term."""
+    sqrt_positive work to `order` exponent units below the leading term.
+    The order must be positive (DomainError otherwise)."""
 
     name = "puiseux"
 
     def __init__(self, order=DEFAULT_REL_ORDER):
-        self.order = F(order)
+        self.order = _positive_order(order)
 
     def coerce(self, x):
         return PuiseuxScalar.coerce(x)
@@ -826,7 +827,7 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
     if s.domain is TOWER:
         raise DomainError("sym_eigen_lift needs a Puiseux matrix; use sym_eigen_tower")
     _check_symmetric(s)
-    order = F(order) if order is not None else s.domain.order
+    order = s.domain.order if order is None else _positive_order(order)
     n = s.nrows
     coeffs = char_poly(s)
     branches = _newton_polygon_branches(coeffs)

@@ -14,14 +14,15 @@ O(X^(e)) is the truncation marker of a truncated value, zero with every
 term below X^(e) unknown.  The field is a name ("tower", "puiseux") or a
 ScalarDomain; "/" and sqrt(...) over the Puiseux field work to the
 domain's truncation order, so sqrt(X^(20) + 2*X^(10) + 1) is the exact
-X^(10) + 1 at order 12 but truncated at the default order 8.
+X^(10) + 1 at order 12 but truncated at the default order 8.  sqrt of an
+exact zero is zero; of a negative value, NotPositive in either field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import NotPositive, ParseError
 from .linalg import Matrix, PUISEUX, TOWER, ScalarDomain
 from .puiseux import PuiseuxScalar
 
@@ -141,7 +142,7 @@ class _Grammar:
             toks.expect_sym("(")
             inner = self.scalar(toks)
             toks.expect_sym(")")
-            return self.domain.sqrt_positive(inner)
+            return self.sqrt(inner)
         if kind == "name" and value in ("X", "O"):
             if self.domain is TOWER:
                 raise ParseError(f"{value} is only available in the puiseux field", line, col)
@@ -153,6 +154,14 @@ class _Grammar:
             toks.expect_sym(")")
             return PuiseuxScalar((), tail)
         toks.error(f"expected a factor, found {value!r}")
+
+    def sqrt(self, x):
+        """The positive root of x, and 0 for an exact 0.  A truncated zero
+        keeps raising IndeterminateSign, as its sign does."""
+        sign = self.domain.sign(x)
+        if sign < 0:
+            raise NotPositive("sqrt of a negative value")
+        return self.domain.sqrt_positive(x) if sign else x
 
     def power(self, toks: _Tokens) -> Fraction:
         """The exponent of X (^(e), default 1)."""

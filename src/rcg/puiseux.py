@@ -14,9 +14,11 @@ sources.
 
 Truncation is tracked per value.  Operations that must choose a working
 order (invert, sqrt_positive, eigen-lifting downstream) take a relative
-order parameter, in exponent units below the leading term.  Matrices carry
-theirs in their scalar domain (linalg.PuiseuxDomain(order)); the default,
-DEFAULT_REL_ORDER = 8, is a constant that nothing in rcg writes.
+order parameter, in exponent units below the leading term; it must be
+positive (DomainError otherwise, from the one check _positive_order).
+Matrices carry theirs in their scalar domain (linalg.PuiseuxDomain(order));
+the default, DEFAULT_REL_ORDER = 8, is a constant that nothing in rcg
+writes.
 
 invert and sqrt_positive write a = c0 X^e0 (1 + t), t the normalised
 remainder (every exponent below 0), and fill the coefficients of 1/(1 + t)
@@ -26,8 +28,8 @@ integer lattice of t's exponents, from X^0 down to the floor max(-order,
 tail of t).  That floor is the result's tail (shifted back by -e0, or by
 e0/2).  Nothing below the tail of t is known, and the power sums of t
 reach no lower either: tail(t^k) = tail(t) + (k - 1) lead(t) is largest at
-k = 1.  No series product is formed; N lattice points cost O(N^2) tower
-operations.
+k = 1.  No series product is formed; N lattice points cost O(N^2)
+coefficient operations.
 
 Below-tail rule: a term below a value's tail is unknown, so no operation
 forms one.  A product works out its tail first, max(tail_a + lead_b,
@@ -36,12 +38,32 @@ sum is at or above it; terms are sorted by decreasing exponent, so the inner
 loop stops at the first pair below the tail.  Sums and products build their
 results through a trusted constructor that skips the normalisation the
 public PuiseuxScalar(terms, tail) does for the parser and for callers.
+
+The rational kernel.  A value whose coefficients all have tower depth 0
+has one lattice form (den, ks, ns, d): its terms are ns[i]/d * X^(ks[i]/den),
+ks strictly decreasing integers, ns nonzero integers, d > 0, with den
+coprime to the ks taken together and d to the ns.  The form is canonical,
+so two rational values are equal iff their tails and forms are.  It is
+computed once from the terms and kept on the value.  Products, sums,
+negation, truncate_below, sign and is_zero of rational values read only
+forms: a product convolves integers with the below-tail cut, a sum merges
+numerators over lcm(d_a, d_b), and every result is reduced by its gcds, so
+d does not grow from product to product.  invert and sqrt_positive run
+their recurrences on integers when t is rational: coefficient j of the
+result, scaled by m^j (for the square root by (4m)^j, which keeps every
+halving exact), m the denominator of t, is an integer.  A result of the
+kernel carries only its form; the public terms tuple is built from it, and
+cached, on first read, so printing and every outside reader see the same
+Fraction exponents and depth-0 TowerScalars as the generic code builds.
+An operand with a radical coefficient takes the generic code on
+TowerScalars: the kernel never lifts radicals into one common tower, whose
+radicand order decides how a value prints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -61,11 +83,14 @@ _ZERO = TowerScalar.coerce(0)
 _ONE = TowerScalar.coerce(1)
 _HALF = F(1, 2)
 
+#: the lattice form of zero
+_ZERO_FORM = (1, (), (), 1)
+
 
 class PuiseuxScalar:
     """A truncated Puiseux series over TowerScalar.  Immutable."""
 
-    __slots__ = ("terms", "tail")
+    __slots__ = ("_terms", "_form", "tail")
 
     def __init__(self, terms, tail=None):
         """terms: iterable of (exponent, coefficient); tail: None for an
@@ -88,7 +113,8 @@ class PuiseuxScalar:
                 continue
             if not norm[e].is_zero():
                 items.append((e, norm[e]))
-        self.terms = tuple(items)
+        self._terms = tuple(items)
+        self._form = None
         self.tail = tail
 
     @classmethod
@@ -97,16 +123,50 @@ class PuiseuxScalar:
         strictly decreasing, nonzero TowerScalar coefficients, none below
         the tail (a Fraction or None).  Nothing is checked or converted."""
         s = object.__new__(cls)
-        s.terms = terms
+        s._terms = terms
+        s._form = None
         s.tail = tail
         return s
+
+    @classmethod
+    def _lattice_value(cls, form: tuple, tail) -> "PuiseuxScalar":
+        """A rational value from its canonical lattice form, none of whose
+        terms lies below the tail; the terms are built on first read."""
+        s = object.__new__(cls)
+        s._terms = None
+        s._form = form
+        s.tail = tail
+        return s
+
+    @property
+    def terms(self) -> tuple:
+        """The (exponent, coefficient) pairs by strictly decreasing
+        exponent: Fraction exponents, nonzero TowerScalar coefficients."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = _terms_of(self._form)
+        return terms
+
+    def _rational(self):
+        """The lattice form when every coefficient has depth 0, else False."""
+        form = self._form
+        if form is None:
+            form = self._form = _form_of(self._terms)
+        return form
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def monomial(coeff, exponent=F(0)) -> "PuiseuxScalar":
         c = TowerScalar.coerce(coeff)
-        return PuiseuxScalar._trusted(() if c.is_zero() else ((F(exponent), c),), None)
+        if c.is_zero():
+            return PuiseuxScalar._lattice_value(_ZERO_FORM, None)
+        e = F(exponent)
+        s = PuiseuxScalar._trusted(((e, c),), None)
+        if len(c.coeffs) == 1:
+            q = c.coeffs[0]
+            s._form = (e.denominator, (e.numerator,), (q.numerator,), q.denominator)
+        return s
 
     @staticmethod
     def constant(c) -> "PuiseuxScalar":
@@ -133,10 +193,14 @@ class PuiseuxScalar:
     def is_exact(self) -> bool:
         return self.tail is None
 
+    def _has_terms(self) -> bool:
+        terms = self._terms
+        return bool(terms) if terms is not None else bool(self._form[1])
+
     def is_zero(self) -> bool:
         """True iff provably zero.  Raises IndeterminateSign when all known
         terms cancelled but the value is truncated."""
-        if self.terms:
+        if self._has_terms():
             return False
         if self.tail is None:
             return True
@@ -144,15 +208,20 @@ class PuiseuxScalar:
 
     def lead(self):
         """(exponent, coefficient) of the leading term."""
-        if not self.terms:
+        if not self._has_terms():
             self.is_zero()  # raises if truncated
             raise DomainError("zero series has no leading term")
         return self.terms[0]
 
     def sign(self) -> int:
-        if not self.terms:
-            return 0 if self.tail is None else self._raise_indeterminate()
-        return self.terms[0][1].sign()
+        form = self._rational()
+        if form:
+            ns = form[2]
+            if ns:
+                return 1 if ns[0] > 0 else -1
+        elif self._terms:
+            return self._terms[0][1].sign()
+        return 0 if self.tail is None else self._raise_indeterminate()
 
     def _raise_indeterminate(self):
         raise IndeterminateSign(f"sign unknown below O(X^({self.tail}))")
@@ -162,7 +231,14 @@ class PuiseuxScalar:
         cutoff = F(cutoff)
         if self.tail is not None and self.tail >= cutoff:
             return self
-        return PuiseuxScalar._trusted(_above(self.terms, cutoff), cutoff)
+        form = self._rational()
+        if not form:
+            return PuiseuxScalar._trusted(_above(self.terms, cutoff), cutoff)
+        den, ks, ns, d = form
+        n = _count_above(ks, _ceil(cutoff * den))
+        if n < len(ks):
+            form = _reduced(den, ks[:n], ns[:n], d)
+        return PuiseuxScalar._lattice_value(form, cutoff)
 
     def coefficient(self, exponent) -> TowerScalar:
         """The coefficient of X^exponent, 0 where no term is stored.
@@ -181,8 +257,11 @@ class PuiseuxScalar:
 
     def _known_exp_bound(self):
         """An upper bound for the exponent of any term of this value."""
-        if self.terms:
-            return self.terms[0][0]
+        form = self._form
+        if form:
+            return F(form[1][0], form[0]) if form[1] else self.tail
+        if self._terms:
+            return self._terms[0][0]
         return self.tail  # may be None (exact zero)
 
     def __add__(self, other):
@@ -195,6 +274,10 @@ class PuiseuxScalar:
             tail = self.tail
         else:
             tail = max(self.tail, other.tail)
+        fa = self._rational()
+        fb = fa and other._rational()
+        if fb:
+            return PuiseuxScalar._lattice_value(_form_sum(fa, fb, tail), tail)
         # one pass over both decreasing term lists
         a, b = self.terms, other.terms
         na, nb = len(a), len(b)
@@ -222,6 +305,10 @@ class PuiseuxScalar:
     __radd__ = __add__
 
     def __neg__(self):
+        form = self._rational()
+        if form:
+            den, ks, ns, d = form
+            return PuiseuxScalar._lattice_value((den, ks, tuple(-n for n in ns), d), self.tail)
         return PuiseuxScalar._trusted(tuple((e, -c) for e, c in self.terms), self.tail)
 
     def __sub__(self, other):
@@ -240,9 +327,9 @@ class PuiseuxScalar:
         other = _operand(other)
         if other is None:
             return NotImplemented
-        a, b = self.terms, other.terms
-        if (self.tail is None and not a) or (other.tail is None and not b):
-            return PuiseuxScalar._trusted((), None)
+        if (self.tail is None and not self._has_terms()) or (
+                other.tail is None and not other._has_terms()):
+            return PuiseuxScalar._lattice_value(_ZERO_FORM, None)
         cands = []
         if self.tail is not None:
             ub = other._known_exp_bound()
@@ -253,6 +340,11 @@ class PuiseuxScalar:
             if ub is not None:
                 cands.append(other.tail + ub)
         tail = max(cands) if cands else None
+        fa = self._rational()
+        fb = fa and other._rational()
+        if fb:
+            return PuiseuxScalar._lattice_value(_form_product(fa, fb, tail), tail)
+        a, b = self.terms, other.terms
         if not a or not b:
             return PuiseuxScalar._trusted((), tail)
         den, (ka, kb), low = _lattice(tail, a, b)
@@ -292,11 +384,15 @@ class PuiseuxScalar:
         other = _operand(other)
         if other is None:
             return NotImplemented
-        if self.tail != other.tail or len(self.terms) != len(other.terms):
+        if self.tail != other.tail:
             return False
-        return all(
-            e1 == e2 and c1 == c2
-            for (e1, c1), (e2, c2) in zip(self.terms, other.terms)
+        fa = self._rational()
+        fb = fa and other._rational()
+        if fb:
+            return fa == fb
+        a, b = self.terms, other.terms
+        return len(a) == len(b) and all(
+            e1 == e2 and c1 == c2 for (e1, c1), (e2, c2) in zip(a, b)
         )
 
     __hash__ = None
@@ -310,9 +406,12 @@ class PuiseuxScalar:
         With a = c0 X^e0 (1 + t), b = 1/(1 + t) satisfies b = 1 - t b: its
         coefficients are filled from X^0 down to the floor max(-target_order,
         tail of t), one lattice point at a time."""
+        order = _positive_order(target_order)
         if self.sign() == 0:
             raise DivisionByZero("inverse of zero")
-        order = F(target_order) if target_order is not None else DEFAULT_REL_ORDER
+        form = self._rational()
+        if form:
+            return _rational_invert(form, self.tail, order)
         e0, c0 = self.lead()
         c0inv = c0.inv()
         if len(self.terms) == 1 and self.tail is None:
@@ -349,31 +448,37 @@ class PuiseuxScalar:
         With a = c0 X^e0 (1 + t), the series r = sqrt(1 + t) satisfies
         r^2 = 1 + t; its coefficients are filled from X^0 down to the floor
         max(-target_order, tail of t), one lattice point at a time."""
-        s = self.sign()
-        if s != 1:
+        order = _positive_order(target_order)
+        if self.sign() != 1:
             raise NotPositive("sqrt_positive needs a positive series")
-        order = F(target_order) if target_order is not None else DEFAULT_REL_ORDER
-        e0, c0 = self.lead()
-        root0 = tower_sqrt(c0)
-        if len(self.terms) == 1 and self.tail is None:
-            return PuiseuxScalar.monomial(root0, e0 / 2)
-        den, t, low = self._rest(c0.inv(), order)
-        t = dict(t)
-        r = [_ONE]  # r[j]: the coefficient of X^(-j/den)
-        for j in range(1, 1 - low):
-            # r_j = (t_j - sum of r_i r_(j-i) over 0 < i < j) / 2, each
-            # pair i < j - i formed once and doubled
-            cross = _ZERO
-            for i in range(1, (j + 1) // 2):
-                if not (r[i].is_zero() or r[j - i].is_zero()):
-                    cross = cross + r[i] * r[j - i]
-            cross = cross + cross
-            if j % 2 == 0 and not r[j // 2].is_zero():
-                cross = cross + r[j // 2] * r[j // 2]
-            r.append((t.get(-j, _ZERO) - cross) * _HALF)
-        result = _from_lattice(r, den, low, e0 / 2, root0)
+        form = self._rational()
+        if form:
+            result = _rational_sqrt(form, self.tail, order)
+            if result.tail is None:
+                return result  # the root of an exact monomial
+        else:
+            e0, c0 = self.lead()
+            root0 = tower_sqrt(c0)
+            if len(self.terms) == 1 and self.tail is None:
+                return PuiseuxScalar.monomial(root0, e0 / 2)
+            den, t, low = self._rest(c0.inv(), order)
+            t = dict(t)
+            r = [_ONE]  # r[j]: the coefficient of X^(-j/den)
+            for j in range(1, 1 - low):
+                # r_j = (t_j - sum of r_i r_(j-i) over 0 < i < j) / 2, each
+                # pair i < j - i formed once and doubled
+                cross = _ZERO
+                for i in range(1, (j + 1) // 2):
+                    if not (r[i].is_zero() or r[j - i].is_zero()):
+                        cross = cross + r[i] * r[j - i]
+                cross = cross + cross
+                if j % 2 == 0 and not r[j // 2].is_zero():
+                    cross = cross + r[j // 2] * r[j // 2]
+                r.append((t.get(-j, _ZERO) - cross) * _HALF)
+            result = _from_lattice(r, den, low, e0 / 2, root0)
         if self.tail is None:
-            exact = PuiseuxScalar._trusted(result.terms, None)
+            exact = PuiseuxScalar._trusted(result._terms, None)
+            exact._form = result._form  # the same terms, known exactly
             if exact * exact == self:
                 return exact
         return result
@@ -466,6 +571,17 @@ def _operand(x):
     return None
 
 
+def _positive_order(order) -> Fraction:
+    """A relative truncation order as a Fraction (None: DEFAULT_REL_ORDER);
+    DomainError unless it is positive."""
+    if order is None:
+        return DEFAULT_REL_ORDER
+    order = F(order)
+    if order <= 0:
+        raise DomainError("truncation order must be positive")
+    return order
+
+
 def _lattice(tail, *term_lists):
     """(den, lists, low): every exponent of the term lists written as an
     integer k = e * den over one common denominator den, the lcm of their
@@ -498,6 +614,200 @@ def _above(terms: tuple, cutoff) -> tuple:
     while k and terms[k - 1][0] < cutoff:
         k -= 1
     return terms if k == len(terms) else terms[:k]
+
+
+# ---------------------------------------------------------------------------
+# the rational kernel: lattice forms (den, ks, ns, d), see the module docstring
+
+def _form_of(terms: tuple):
+    """The lattice form of normal terms, or False if a coefficient has a
+    radical (tower depth above 0)."""
+    den = d = 1
+    for e, c in terms:
+        if len(c.coeffs) != 1:
+            return False
+        den = lcm(den, e.denominator)
+        d = lcm(d, c.coeffs[0].denominator)
+    # reduced Fractions over the lcms of their denominators share no factor
+    return (den,
+            tuple(e.numerator * (den // e.denominator) for e, _ in terms),
+            tuple(c.coeffs[0].numerator * (d // c.coeffs[0].denominator) for _, c in terms),
+            d)
+
+
+def _terms_of(form: tuple) -> tuple:
+    """The public terms of a lattice form."""
+    den, ks, ns, d = form
+    return tuple((F(k, den), TowerScalar.from_fraction(F(n, d))) for k, n in zip(ks, ns))
+
+
+def _reduced(den, ks, ns, d) -> tuple:
+    """The canonical form of ns[i]/d X^(ks[i]/den): den and d divided by
+    their common factors with the ks and the ns."""
+    g = gcd(den, *ks)
+    if g > 1:
+        den //= g
+        ks = [k // g for k in ks]
+    g = gcd(d, *ns)
+    if g > 1:
+        d //= g
+        ns = [n // g for n in ns]
+    return den, tuple(ks), tuple(ns), d
+
+
+def _ceil(q: Fraction) -> int:
+    return -(-q.numerator // q.denominator)
+
+
+def _count_above(ks, low) -> int:
+    """How many of the decreasing ks are at or above low."""
+    n = len(ks)
+    while n and ks[n - 1] < low:
+        n -= 1
+    return n
+
+
+def _rescaled(ks, den, common):
+    """The exponents ks/den as numerators over the multiple common of den."""
+    s = common // den
+    return ks if s == 1 else [k * s for k in ks]
+
+
+def _form_sum(fa: tuple, fb: tuple, tail) -> tuple:
+    """The form of the sum of two lattice forms, cut below the tail."""
+    da, ka, na, ca = fa
+    db, kb, nb, cb = fb
+    den = lcm(da, db)
+    d = lcm(ca, cb)
+    sa, sb = d // ca, d // cb
+    acc = dict(zip(_rescaled(ka, da, den), na if sa == 1 else [n * sa for n in na]))
+    for k, n in zip(_rescaled(kb, db, den), nb):
+        acc[k] = acc.get(k, 0) + n * sb
+    ks = sorted((k for k, n in acc.items() if n), reverse=True)
+    if tail is not None:
+        ks = ks[:_count_above(ks, _ceil(tail * den))]
+    return _reduced(den, ks, [acc[k] for k in ks], d)
+
+
+def _form_product(fa: tuple, fb: tuple, tail) -> tuple:
+    """The form of the product of two lattice forms: only the pairs whose
+    exponent sum is at or above the tail are formed."""
+    da, ka, na, ca = fa
+    db, kb, nb, cb = fb
+    if not ka or not kb:
+        return _ZERO_FORM
+    den = lcm(da, db)
+    ka, kb = _rescaled(ka, da, den), _rescaled(kb, db, den)
+    low = ka[-1] + kb[-1] if tail is None else _ceil(tail * den)
+    top = kb[0]
+    sums = {}
+    for k1, n1 in zip(ka, na):
+        if k1 + top < low:
+            break  # every later row starts lower still
+        for k2, n2 in zip(kb, nb):
+            k = k1 + k2
+            if k < low:
+                break  # every later pair of this row is lower still
+            sums[k] = sums.get(k, 0) + n1 * n2
+    ks = sorted((k for k, n in sums.items() if n), reverse=True)
+    return _reduced(den, ks, [sums[k] for k in ks], ca * cb)
+
+
+def _rational_rest(form: tuple, tail, order):
+    """(den, t, low, m) for the rational value of this form and tail,
+    written c0 X^e0 (1 + t): t's terms at or above the floor max(-order,
+    tail of t) as (k, n), the coefficient n/m at the exponent k/den (k < 0,
+    decreasing; m > 0), and low = floor * den."""
+    den, ks, ns, _ = form
+    k0, n0 = ks[0], ns[0]
+    rel = [k - k0 for k in ks[1:]]
+    g = gcd(den, *rel)
+    floor = -order if tail is None else max(-order, tail - F(k0, den))
+    lat = lcm(den // g, floor.denominator)
+    s = lat * g // den
+    low = floor.numerator * (lat // floor.denominator)
+    sgn = 1 if n0 > 0 else -1
+    t = [(k // g * s, sgn * n) for k, n in zip(rel, ns[1:]) if k // g * s >= low]
+    return lat, t, low, sgn * n0
+
+
+def _rational_invert(form: tuple, tail, order) -> PuiseuxScalar:
+    """1/a for the rational a of this form and tail, nonzero."""
+    den, ks, ns, d = form
+    k0, n0 = ks[0], ns[0]
+    if len(ks) == 1 and tail is None:
+        return PuiseuxScalar._lattice_value(
+            (den, (-k0,), (d if n0 > 0 else -d,), abs(n0)), None)
+    lat, t, low, m = _rational_rest(form, tail, order)
+    # B[j] = b_j m^j: b_j = -sum t_k b_(j+k), so B_j = -sum n_k m^(-k-1) B_(j+k)
+    steps = [(-k, n * m ** (-k - 1)) for k, n in t]
+    scaled = [1]
+    for j in range(1, 1 - low):
+        acc = 0
+        for i, f in steps:
+            if i > j:
+                break
+            b = scaled[j - i]
+            if b:
+                acc += f * b
+        scaled.append(-acc)
+    # b_j / c0 = B_j d sgn(n0) / m^(j+1), over the common denominator m^(N+1)
+    return _lattice_result(scaled, m, d if n0 > 0 else -d, m, lat, low, F(-k0, den))
+
+
+def _rational_sqrt(form: tuple, tail, order) -> PuiseuxScalar:
+    """The positive root of the positive rational a of this form and tail,
+    before the exactness test of sqrt_positive."""
+    den, ks, ns, d = form
+    k0, n0 = ks[0], ns[0]
+    root0 = tower_sqrt(TowerScalar.from_fraction(F(n0, d)))
+    shift = F(k0, 2 * den)
+    if len(ks) == 1 and tail is None:
+        return PuiseuxScalar.monomial(root0, shift)
+    lat, t, low, m = _rational_rest(form, tail, order)
+    t = dict(t)
+    # R[j] = r_j (4m)^j is an even integer for j > 0:
+    # R_j = (n_j 4^j m^(j-1) - sum of R_i R_(j-i) over 0 < i < j) / 2
+    scale = 4 * m
+    scaled = [1]
+    lift = 4  # 4^j m^(j-1)
+    for j in range(1, 1 - low):
+        cross = 0
+        for i in range(1, (j + 1) // 2):
+            a = scaled[i]
+            if a:
+                b = scaled[j - i]
+                if b:
+                    cross += a * b
+        cross += cross
+        if j % 2 == 0:
+            h = scaled[j // 2]
+            cross += h * h
+        scaled.append((t.get(-j, 0) * lift - cross) // 2)
+        lift *= scale
+    if len(root0.coeffs) == 1:
+        q = root0.coeffs[0]
+        return _lattice_result(scaled, scale, q.numerator, q.denominator, lat, low, shift)
+    coeffs = [TowerScalar.from_fraction(F(r, scale ** j)) for j, r in enumerate(scaled)]
+    return _from_lattice(coeffs, lat, low, shift, root0)
+
+
+def _lattice_result(scaled, m, p, q, lat, low, shift) -> PuiseuxScalar:
+    """The rational series sum of scaled[j] / m^j * p/q * X^(shift - j/lat),
+    plus O(X^(shift + low/lat))."""
+    den = lcm(shift.denominator, lat)
+    top = shift.numerator * (den // shift.denominator)
+    step = den // lat
+    last = len(scaled) - 1
+    ks, ns = [], []
+    power = m ** last  # m^(last - j)
+    for j, b in enumerate(scaled):
+        if b:
+            ks.append(top - j * step)
+            ns.append(b * p * power)
+        power //= m
+    tail = F(top + low * step, den)
+    return PuiseuxScalar._lattice_value(_reduced(den, ks, ns, q * m ** last), tail)
 
 
 #: the series variable itself (an infinite element of the field)

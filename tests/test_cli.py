@@ -12,7 +12,13 @@ import rcg
 import rcg.cli
 from rcg.cli import run
 from rcg.decomp import BruhatResult, bruhat, cartan_kak, iwasawa_kau, iwasawa_uak
-from rcg.errors import NoRelatingElement, ParseError, PrecisionExhausted
+from rcg.errors import (
+    IndeterminateSign,
+    NoRelatingElement,
+    NotPositive,
+    ParseError,
+    PrecisionExhausted,
+)
 from rcg.parsing import parse_matrix, parse_scalar, print_matrix
 from rcg.puiseux import PuiseuxScalar
 from rcg.slgroup import GroupElement
@@ -51,6 +57,29 @@ def test_parse_errors():
         parse_scalar("X", field="tower")
     with pytest.raises(ParseError):
         parse_scalar("1 @ 2")
+
+
+@pytest.mark.parametrize("field", ["tower", "puiseux"])
+def test_sqrt_of_an_exact_zero_is_zero(field):
+    texts = ["sqrt(0)", "sqrt(1-1)", "1 + sqrt(2 - 2)"]
+    if field == "puiseux":
+        texts.append("sqrt(X - X)")
+    for text in texts:
+        assert parse_scalar(text, field) == (1 if text.startswith("1 +") else 0)
+    assert parse_scalar("sqrt(0)", field).is_zero()
+
+
+@pytest.mark.parametrize("field", ["tower", "puiseux"])
+def test_sqrt_of_a_negative_is_refused_with_one_message(field):
+    texts = ["sqrt(-1)", "sqrt(1 - sqrt(2))"] + (["sqrt(-X)"] if field == "puiseux" else [])
+    for text in texts:
+        with pytest.raises(NotPositive, match="^sqrt of a negative value$"):
+            parse_scalar(text, field)
+
+
+def test_sqrt_of_a_truncated_zero_stays_indeterminate():
+    with pytest.raises(IndeterminateSign):
+        parse_scalar("sqrt(O(X^(-1)))", "puiseux")
 
 
 def test_parse_matrix():
@@ -533,3 +562,14 @@ def test_python_m_rcg_cli_help_exits_0():
     assert done.returncode == 0
     assert done.stdout.startswith("usage: rcg [-h]") and "jm-triple" in done.stdout
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize("field", ["tower", "puiseux"])
+def test_cli_sqrt_of_zero_parses_and_of_a_negative_is_a_domain_error(tmp_path, field):
+    code, out, err = run_cli(["--field", field, "bruhat"],
+                             files={"g.mat": "1, sqrt(0); sqrt(1-1), 1"}, tmp_path=tmp_path)
+    assert (code, err) == (0, "")
+    assert out.startswith("b1:\n  1, 0\n  0, 1\n")
+    code, out, err = run_cli(["--field", field, "bruhat"],
+                             files={"g.mat": "1, sqrt(-1); 0, 1"}, tmp_path=tmp_path)
+    assert (code, out, err) == (2, "", "domain error: sqrt of a negative value\n")

@@ -13,6 +13,7 @@ from rcg.errors import (
     UnsupportedExponent,
 )
 from rcg.puiseux import X, PuiseuxScalar, invert, sign, specialize, sqrt_positive
+from rcg.tower import TowerScalar
 from rcg.tower import sqrt_positive as tower_sqrt
 
 F = Fraction
@@ -385,3 +386,140 @@ def test_invert_and_sqrt_match_the_power_sums(case, sign):
     # == compares the terms and the tail
     assert (sign * a).invert(q) == _reference_invert(sign * a, q)
     assert a.sqrt_positive(q) == _reference_sqrt(a, q)
+
+
+
+# ---------------------------------------------------------------------------
+# the lattice kernel of all-rational series against the references above,
+# and against the same operands lifted into a radical tower, where every
+# operation takes the generic path
+
+_LIFT = _R2.tower
+
+
+def _lifted(a):
+    """a with every coefficient lifted into Q(sqrt 2): the same value on
+    the generic path."""
+    return P(((e, c.lift_to(_LIFT)) for e, c in a.terms), a.tail)
+
+
+def _same(got, want):
+    """Equal terms and tail, and the same printed form."""
+    assert got == want
+    assert got.tail == want.tail
+    assert str(got) == str(want)
+
+
+_DEN = st.sampled_from([1, 2, 3, 4])
+
+
+@st.composite
+def rational_series(draw):
+    """A series with rational coefficients and exponent denominators 1 to
+    4, exact or truncated; zeros, exact and truncated, included."""
+    exps = draw(st.lists(st.builds(F, st.integers(-12, 12), _DEN), max_size=5, unique=True))
+    coeff = st.fractions(-4, 4, max_denominator=4)
+    tail = draw(st.none() | st.builds(F, st.integers(-20, 10), _DEN))
+    return P([(e, draw(coeff)) for e in exps], tail)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the RcgError it raised."""
+    try:
+        return fn(*args)
+    except (IndeterminateSign, DivisionByZero, NotPositive) as exc:
+        return type(exc)
+
+
+def _sign_reference(a):
+    if a.terms:
+        return a.terms[0][1].sign()
+    return 0 if a.tail is None else IndeterminateSign
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_series(), rational_series(), st.builds(F, st.integers(-16, 10), _DEN),
+       st.integers(1, 10).map(F) | st.builds(F, st.integers(1, 30), _DEN))
+def test_rational_kernel_matches_the_references(a, b, cutoff, q):
+    # copies made by the kernel itself, whose terms nobody has read yet
+    la, lb = a * 1, b * 1
+    s = _outcome(la.sign)
+    pos = la if s == 1 else -la
+    got = [la * lb, la + lb, la - lb, -la, la.truncate_below(cutoff), s,
+           _outcome(la.invert, q), _outcome(pos.sqrt_positive, q)]
+    tails = [t for t in (a.tail, b.tail) if t is not None]
+    tail = max(tails) if tails else None
+    neg_b = tuple((e, -c) for e, c in b.terms)
+    want = [
+        P([(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms], _product_tail(a, b)),
+        P(a.terms + b.terms, tail),
+        P(a.terms + neg_b, tail),
+        P(((e, -c) for e, c in a.terms), a.tail),
+        P(a.terms, cutoff if a.tail is None else max(a.tail, cutoff)),
+        _sign_reference(a),
+    ]
+    for g, w in zip(got[:5], want[:5]):
+        _same(g, w)
+    assert got[5] == want[5]
+    if s in (1, -1):
+        _same(got[6], _reference_invert(a, q))
+        _same(got[7], _reference_sqrt(a if s == 1 else -a, q))
+        # the generic path on the same values agrees term for term
+        assert got[6] == _lifted(a).invert(q)
+        assert got[7] == _lifted(a if s == 1 else -a).sqrt_positive(q)
+    else:
+        want = (DivisionByZero, NotPositive) if s == 0 else (IndeterminateSign,) * 2
+        assert (got[6], got[7]) == want
+    assert got[0] == _lifted(a) * _lifted(b) and got[1] == _lifted(a) + _lifted(b)
+
+
+def test_rational_kernel_makes_no_tower_arithmetic(monkeypatch):
+    a = P([(2, F(1, 2)), (F(1, 2), -3), (-1, F(2, 3))], tail=F(-7, 2))
+    b = P([(1, 1), (F(-1, 3), F(5, 4)), (-2, -1)])
+    c = P([(0, 4), (F(-1, 2), 1), (F(-3, 4), F(-1, 3))])
+
+    def refuse(*args):
+        raise AssertionError("TowerScalar arithmetic on a rational series")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(TowerScalar, name, refuse)
+    product, total, inv, root = a * b, a + b - c, b.invert(6), c.sqrt_positive(6)
+    monkeypatch.undo()
+    _same(product, P([(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms],
+                     _product_tail(a, b)))
+    _same(total, P(a.terms + b.terms + tuple((e, -x) for e, x in c.terms), a.tail))
+    _same(inv, _reference_invert(b, 6))
+    _same(root, _reference_sqrt(c, 6))
+
+
+def test_rational_times_radical_takes_the_generic_path():
+    a = P([(1, F(1, 2)), (0, -2), (F(-1, 2), F(3, 4))], tail=-3)
+    r = P([(F(1, 2), _R2), (-1, 1 + _R3)])
+    for x, y in ((a, r), (r, a), (a * 1, r), (r, a * 1)):
+        _same(x * y, P([(e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms],
+                       _product_tail(x, y)))
+        tails = [t for t in (x.tail, y.tail) if t is not None]
+        _same(x + y, P(x.terms + y.terms, max(tails)))
+    # a radical coefficient keeps its tower: rational times sqrt(2) prints as before
+    assert str(a * r).startswith("1/2*sqrt(2)*X^(3/2)")
+
+
+# ---------------------------------------------------------------------------
+# a truncation order must be positive wherever the library takes one
+
+def test_truncation_order_must_be_positive():
+    from rcg.decomp import cartan_kak
+    from rcg.linalg import Matrix, PuiseuxDomain, sym_eigen_lift
+    from rcg.slgroup import GroupElement
+
+    g = GroupElement.puiseux([[X, 0], [0, invert(X)]])
+    s = Matrix.puiseux([[X, 1], [1, -X]])
+    a = X + 1
+    for bad in (0, -1, F(-1, 2)):
+        for call in (lambda: PuiseuxDomain(bad), lambda: cartan_kak(g, order=bad),
+                     lambda: sym_eigen_lift(s, order=bad), lambda: a.invert(bad),
+                     lambda: a.sqrt_positive(bad), lambda: invert(a, bad)):
+            with pytest.raises(DomainError, match="^truncation order must be positive$"):
+                call()
+    assert PuiseuxDomain(F(1, 2)).order == F(1, 2)
+    assert a.invert(F(1, 2)).tail == F(-3, 2)

@@ -2,7 +2,7 @@
 
 `puiseux_golden.json` holds, per input and operation, the printed entries
 of every factor, or the type and message of the error raised, for
-iwasawa_kau, cartan_kak at orders 6 and 8, and bruhat.  The inputs are
+iwasawa_kau, cartan_kak at orders 6, 8 and 16, and bruhat.  The inputs are
 the benchmark's own Puiseux products D L S (`perfbench/workloads.py`,
 imported read-only): 16 seeded SL_2 draws, the 20 inputs of the fixed SL_3
 panel, one seeded draw at n = 4 and two at n = 5 (on the first, KAK
@@ -38,6 +38,7 @@ OPERATIONS = {
     "kau": iwasawa_kau,
     "kak6": lambda g: cartan_kak(g, order=6),
     "kak8": lambda g: cartan_kak(g, order=8),
+    "kak16": lambda g: cartan_kak(g, order=16),
     "bruhat": bruhat,
 }
 
