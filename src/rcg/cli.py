@@ -3,7 +3,7 @@
 Verbs: iwasawa, cartan, bruhat, bch, jm-triple, kostant-check, roots.
 The three decomposition verbs share one command: it loads g, decomposes
 it, and prints the factors in product order only after res.certify(g) has
-re-multiplied them and checked them against the input (self-certifying
+checked each factor's subgroup and their product against g (self-certifying
 output).  --trunc (else RCG_TRUNC, else puiseux.DEFAULT_REL_ORDER) is read
 once per run into the run's PuiseuxDomain, which every parsed matrix
 carries; the run changes no module state.  Exit codes: 0 success, 1 parse

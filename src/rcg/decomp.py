@@ -1,12 +1,16 @@
 """Iwasawa (KAU/UAK), Cartan (KAK) and Bruhat (BWB) decompositions of SL_n.
 
 All three work over the tower field and over the Puiseux field.  Each
-result is a product of its factors in field order, and res.certify(g)
-checks that product against g: tower results reconstruct the input
-exactly; Puiseux results carry per-value truncation tails, and there every
-known term of k*a*u - g (etc.) must vanish.  The decompositions do not
-certify themselves: an exact reconstruction costs far more than a tower
-decomposition, so the caller that prints a result (the CLI) pays for it.
+result is a product of its factors in field order, and res.certify(g) is
+its one complete check over both fields: the product against g (exact over
+the tower; over the Puiseux field every known term of k*a*u - g etc. must
+vanish), then each factor against its subgroup predicate.  That check
+costs more than a tower decomposition, so the caller that prints a result
+(the CLI) pays for it.  A decomposition checks only det = 1, once per
+factor: a factor whose shape or construction fixes it is built unchecked,
+the others by the cheapest identity that fixes it.  None takes the
+determinant of a K factor, whose columns each carry their own radical, or
+checks itself by a second algorithm.
 
 The Weyl chamber A+ is realised as non-increasing diagonal (equivalently
 chi_delta(a) >= 1 for the simple roots); Cartan middle factors are sorted
@@ -31,11 +35,12 @@ from .linalg import (
     sym_eigen_lift,
     sym_eigen_tower,
 )
-from .slgroup import GroupElement
+from .slgroup import GroupElement, member_A, member_B, member_K, member_N, member_U
 
 
 class _Factorisation:
-    """A factorisation g = f1 f2 f3, its factors the dataclass fields."""
+    """A factorisation g = f1 f2 f3, its factors the dataclass fields and
+    `subgroups` their membership predicates, in the same order."""
 
     def factors(self) -> dict:
         """The factors by field name, in declaration (= product) order."""
@@ -46,10 +51,14 @@ class _Factorisation:
 
     def certify(self, g: GroupElement) -> None:
         """InternalError unless every known entry of reconstruct() - g
-        vanishes (exactly zero over the tower)."""
+        vanishes (exactly zero over the tower) and each factor is in its
+        subgroup."""
         residual = self.reconstruct().mat - g.mat
         if not all(residual.domain.vanishes(x) for row in residual.data for x in row):
             raise InternalError("reconstruction failed")
+        for (name, factor), member in zip(self.factors().items(), self.subgroups):
+            if not member(factor):
+                raise InternalError(f"{name} is not in its subgroup")
 
 
 @dataclass
@@ -57,6 +66,7 @@ class KAUResult(_Factorisation):
     k: GroupElement
     a: GroupElement
     u: GroupElement
+    subgroups = (member_K, member_A, member_U)
 
 
 @dataclass
@@ -64,6 +74,7 @@ class UAKResult(_Factorisation):
     u: GroupElement
     a: GroupElement
     k: GroupElement
+    subgroups = (member_U, member_A, member_K)
 
 
 @dataclass
@@ -71,6 +82,7 @@ class KAKResult(_Factorisation):
     k1: GroupElement
     a: GroupElement
     k2: GroupElement
+    subgroups = (member_K, member_A, member_K)
 
 
 @dataclass
@@ -78,6 +90,7 @@ class BruhatResult(_Factorisation):
     b1: GroupElement
     w: GroupElement
     b2: GroupElement
+    subgroups = (member_B, member_N, member_B)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +103,11 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
     exact over the base field; the radicals enter only through the column
     norms, which populate a and k.
 
-    a and u are checked like any new element.  Over the tower, k = qhat
-    diag(1/r_j) is certified column by column instead: det(k) =
-    det(qhat) * prod(1/r_j) must be exactly 1, and qhat, the Gram-Schmidt
-    matrix, stays in g's own tower, where its determinant is cheap; the
-    determinant of k itself would mix one radical per column.
+    k is certified column by column: det(k) = det(qhat) * prod(1/r_j) must
+    be 1 (every known term of the difference vanishes), and qhat, the
+    Gram-Schmidt matrix, stays in g's own tower, where its determinant is
+    cheap.  u is unitriangular, det 1 by shape.  a, a cheap diagonal
+    determinant, stays checked: it refuses an input with |det g| != 1.
     """
     dom = g.mat.domain
     n = g.n
@@ -120,17 +133,13 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
         [[qhat[j][i] * inv_r[j] for j in range(n)] for i in range(n)],
     )
     a_mat = Matrix.diagonal(r_diag, dom)
-    u_mat = Matrix(dom, u_rows)
-    if dom is not TOWER:
-        k = GroupElement(k_mat)
-    else:
-        d = det(Matrix(dom, list(zip(*qhat))))
-        for x in inv_r:
-            d = d * x
-        if not dom.is_zero(d - dom.one):
-            raise DomainError(f"determinant of k is {d}, not 1")
-        k = GroupElement._unchecked(k_mat)
-    return KAUResult(k, GroupElement(a_mat), GroupElement(u_mat))
+    u = GroupElement._unchecked(Matrix(dom, u_rows))
+    d = det(Matrix(dom, list(zip(*qhat))))
+    for x in inv_r:
+        d = d * x
+    if not dom.vanishes(d - dom.one):
+        raise DomainError(f"determinant of k is {d}, not 1")
+    return KAUResult(GroupElement._unchecked(k_mat), GroupElement(a_mat), u)
 
 
 def _flip(m: Matrix) -> Matrix:
@@ -179,10 +188,16 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     small singular values, so k1^T k1 = 1 and k1 a k2 = g are known at best
     to `order` less the exponent spread of a (its largest less its smallest
     leading exponent), below the scale of each residual.  On some inputs
-    they fall short even of that, for want of working order."""
+    they fall short even of that, for want of working order.  A given order
+    must be positive over both fields (DomainError).
+
+    Only a is checked, a diagonal determinant.  det k2 = det V = +1, as
+    _special_orthogonal fixes its sign and its columns are unit vectors;
+    det k1 = det g * det V / det a = 1, det g checked when g entered."""
     dom = g.mat.domain
-    if dom is not TOWER and order is not None:
-        dom = PuiseuxDomain(order)
+    working = dom if order is None else PuiseuxDomain(order)  # checks order > 0
+    if dom is not TOWER:
+        dom = working
     s = g.mat.transpose() * g.mat
     if dom is TOWER:
         lams, vmat = sym_eigen_tower(s)
@@ -193,7 +208,7 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     inv_a = [dom.invert(x) for x in a_diag]
     n = g.n
     a_mat = Matrix.diagonal(a_diag, dom)
-    k2 = vmat.transpose()
+    k2 = GroupElement._unchecked(vmat.transpose())
     k1 = Matrix(
         dom,
         [
@@ -201,7 +216,7 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
             for i in range(n)
         ],
     )
-    return KAKResult(GroupElement(k1), GroupElement(a_mat), GroupElement(k2))
+    return KAKResult(GroupElement._unchecked(k1), GroupElement(a_mat), k2)
 
 
 def kak_uniqueness_check(g: GroupElement, res1: KAKResult, res2: KAKResult) -> GroupElement:
@@ -244,8 +259,8 @@ def bruhat(g: GroupElement) -> BruhatResult:
     entry, clear upward with row operations (left factor stays unit upper
     triangular) and rightward with column operations (right factor too); the
     leftover one-entry-per-line matrix splits as w times a positive diagonal
-    absorbed into b2.  The permutation support is cross-checked against the
-    lower-left rank matrix invariant."""
+    absorbed into b2.  Bruhat uniqueness fixes the cell; b1 is unitriangular
+    and built unchecked, w and b2 are checked."""
     dom = g.mat.domain
     n = g.n
     m = [list(row) for row in g.mat.data]
@@ -290,13 +305,9 @@ def bruhat(g: GroupElement) -> BruhatResult:
         sgn = dom.sign(val)
         w_rows[i][col] = dom.one if sgn > 0 else -dom.one
         d_diag[col] = val if sgn > 0 else -val
-    b1 = Matrix(dom, linv)
+    b1 = GroupElement._unchecked(Matrix(dom, linv))
     b2 = Matrix(dom, [[d_diag[i] * rinv[i][j] for j in range(n)] for i in range(n)])
-    w = Matrix(dom, w_rows)
-    res = BruhatResult(GroupElement(b1), GroupElement(w), GroupElement(b2))
-    if bruhat_permutation(g) != pivot_row_of:
-        raise InternalError("rank-matrix invariant disagrees with elimination")
-    return res
+    return BruhatResult(b1, GroupElement(Matrix(dom, w_rows)), GroupElement(b2))
 
 
 def bruhat_permutation(g: GroupElement) -> dict:

@@ -4,8 +4,9 @@ involution, restricted root spaces, the Killing form and torus characters.
 Membership in SL_n is checked once, where a matrix enters: GroupElement's
 constructor computes the determinant and rejects anything but 1.  Ring
 operations on elements (products, transposes) cannot change a determinant
-and build their results unchecked; decompositions certify each factor
-they return (see decomp).
+and build their results unchecked; so do decompositions, for a factor
+whose construction fixes det = 1, and a result's certify(g) applies the
+predicates below (see decomp).
 
 The split torus is always the diagonal one.  Subgroups follow the concrete
 descriptions for SL_n: K = SO_n, A = positive diagonal, U = upper
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalError
-from .linalg import Matrix, TOWER, det, inverse
+from .linalg import Matrix, TOWER, _dot, det, inverse
 
 F = Fraction
 
@@ -36,7 +37,8 @@ class GroupElement:
     of det - 1 vanishes), so every matrix that enters SL_n from outside is
     checked once.  Products and transposes of elements are built unchecked:
     ring operations cannot move a determinant off 1.  inverse() divides and
-    stays checked."""
+    stays checked.  Decompositions build unchecked the factors whose
+    construction fixes det = 1 (see decomp)."""
 
     __slots__ = ("mat", "n")
 
@@ -135,24 +137,20 @@ def positive_roots(n: int):
 
 
 # ---------------------------------------------------------------------------
-# membership predicates (exact; IndeterminateSign bubbles from truncated input)
+# membership predicates: zero and one tests pass when every known term
+# vanishes (exact over the tower); only A's sign test can raise
 
 def _is_zero(mat: Matrix, i, j) -> bool:
-    return mat.domain.is_zero(mat.data[i][j])
-
-
-def _is_one(mat: Matrix, i, j) -> bool:
-    return mat.domain.is_zero(mat.data[i][j] - mat.domain.one)
+    return mat.domain.vanishes(mat.data[i][j])
 
 
 def member_K(g: GroupElement) -> bool:
-    prod = g.mat * g.mat.transpose()
-    n = g.n
-    dom = g.mat.domain
+    """k k^T = I, from its entries i <= j (the product is symmetric)."""
+    rows, dom, n = g.mat.data, g.mat.domain, g.n
     return all(
-        dom.is_zero(prod.data[i][j] - (dom.one if i == j else dom.zero))
+        dom.vanishes(_dot(rows[i], rows[j], dom) - (dom.one if i == j else dom.zero))
         for i in range(n)
-        for j in range(n)
+        for j in range(i, n)
     )
 
 
@@ -167,37 +165,26 @@ def member_A(g: GroupElement) -> bool:
 
 
 def member_U(g: GroupElement) -> bool:
-    n = g.n
-    for i in range(n):
-        if not _is_one(g.mat, i, i):
-            return False
-        for j in range(i):
-            if not _is_zero(g.mat, i, j):
-                return False
-    return True
+    dom, d = g.mat.domain, g.mat.data
+    return member_B(g) and all(dom.vanishes(d[i][i] - dom.one) for i in range(g.n))
 
 
 def member_M(g: GroupElement) -> bool:
     dom, d = g.mat.domain, g.mat.data
     return _is_diagonal(g.mat) and all(
-        dom.is_zero(d[i][i] * d[i][i] - dom.one) for i in range(g.n)
+        dom.vanishes(d[i][i] * d[i][i] - dom.one) for i in range(g.n)
     )
 
 
 def member_N(g: GroupElement) -> bool:
-    n = g.n
-    dom = g.mat.domain
-    for i in range(n):
-        nonzero_cols = [j for j in range(n) if not _is_zero(g.mat, i, j)]
-        if len(nonzero_cols) != 1:
-            return False
-        x = g.mat.data[i][nonzero_cols[0]]
-        if not dom.is_zero(x * x - dom.one):
-            return False
-    for j in range(n):
-        if sum(0 if _is_zero(g.mat, i, j) else 1 for i in range(n)) != 1:
-            return False
-    return True
+    """One nonzero entry in each row and each column, and it is +-1."""
+    dom, d, n = g.mat.domain, g.mat.data, g.n
+    support = [(i, j) for i in range(n) for j in range(n) if not _is_zero(g.mat, i, j)]
+    return (
+        [i for i, _ in support] == list(range(n))
+        and sorted(j for _, j in support) == list(range(n))
+        and all(dom.vanishes(d[i][j] * d[i][j] - dom.one) for i, j in support)
+    )
 
 
 def member_B(g: GroupElement) -> bool:

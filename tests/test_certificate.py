@@ -4,9 +4,11 @@ and checks made once.
 Every decomposition result certifies itself (`res.certify(g)`): it accepts
 an exact factorisation and a Puiseux one whose known residual terms vanish
 above their tails, and raises InternalError for a wrong factor over either
-field.  `domain.vanishes` is the one test for "every known term is zero";
-`_exact_key` is the one sort key for exact scalars.  The chamber projection
-and the determinant message compute no determinant they already have.
+field, also one that reconstructs g but lies outside its subgroup.
+`domain.vanishes` is the one test for "every known term is zero";
+`_exact_key` is the one sort key for exact scalars.  The chamber
+projection, the determinant message and the decompositions compute no
+determinant they already have.
 """
 
 from dataclasses import replace
@@ -80,6 +82,10 @@ def test_certify_rejects_a_wrong_factor(g):
     for wrong in (replace(res, a=res.a * stretch), replace(res, u=res.u.transpose())):
         with pytest.raises(InternalError, match="reconstruction failed"):
             wrong.certify(g)
+    # reconstructs g, but k is no longer orthogonal
+    outside = replace(res, k=res.k * stretch, a=stretch.inverse() * res.a)
+    with pytest.raises(InternalError, match="k is not in its subgroup"):
+        outside.certify(g)
 
 
 def test_vanishes_is_zero_over_the_tower_and_no_known_term_over_puiseux():
@@ -108,6 +114,25 @@ def test_chamber_projection_computes_no_determinant(monkeypatch):
 
     monkeypatch.setattr(rcg.slgroup, "det", refuse)
     assert chamber_projection(a).diagonal() == [4, F(1, 2), F(1, 2)]
+
+
+def test_decompositions_take_no_determinant_their_construction_fixes(monkeypatch):
+    """Only factors whose determinant the construction does not fix are
+    checked: a for KAK (k1 and k2 follow from det g and the eigenvectors),
+    w and b2 for Bruhat (b1 is unitriangular).  certify takes none."""
+    g = GroupElement.puiseux([[X, 1, 0], [0, 1, 0], [0, 1, X.invert()]])
+    calls = []
+    det = rcg.slgroup.det
+
+    def counting_det(m):
+        calls.append(m)
+        return det(m)
+
+    monkeypatch.setattr(rcg.slgroup, "det", counting_det)
+    for decompose, taken in ((cartan_kak, 1), (bruhat, 2)):
+        calls.clear()
+        decompose(g).certify(g)
+        assert len(calls) == taken, decompose.__name__
 
 
 def test_a_refused_element_computes_its_determinant_once(monkeypatch):

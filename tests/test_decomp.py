@@ -158,6 +158,7 @@ def test_kau_puiseux_series_input():
     assert res.a[0, 0].coefficient(1) == 1
     assert res.a[0, 0].coefficient(-1) == F(1, 2)
     _known_zero_matrix((res.k * res.a * res.u).mat - g.mat)
+    assert member_K(res.k) and member_A(res.a) and member_U(res.u)
     res2 = iwasawa_uak(g)
     _known_zero_matrix((res2.u * res2.a * res2.k).mat - g.mat)
 
@@ -173,7 +174,7 @@ def test_kau_keeps_a_tail_only_power():
     ])
     res = iwasawa_kau(g)
     res.certify(g)
-    assert member_A(res.a) and member_U(res.u)
+    assert member_K(res.k) and member_A(res.a) and member_U(res.u)
 
 
 def test_domain_order_is_the_working_order():
@@ -319,6 +320,7 @@ def test_kak_puiseux():
     assert res.a[0, 0].lead()[0] == 1
     assert res.a[1, 1].lead()[0] == -1
     _known_zero_matrix(res.reconstruct().mat - g.mat)
+    assert member_K(res.k1) and member_A(res.a) and member_K(res.k2)
 
 
 def test_kak_puiseux_specialisation_oracle():
@@ -370,6 +372,7 @@ def test_bruhat_random_exact():
         res = bruhat(g)
         assert member_B(res.b1) and member_B(res.b2) and member_N(res.w)
         assert res.reconstruct() == g
+        assert bruhat_permutation(res.w) == bruhat_permutation(g)
 
 
 def test_bruhat_cells_disjoint():

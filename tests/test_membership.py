@@ -9,6 +9,7 @@ reconstruction holds at sizes the cofactor check could not afford.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ import rcg.slgroup
 from rcg.decomp import bruhat, iwasawa_kau, iwasawa_uak
 from rcg.errors import DomainError
 from rcg.linalg import TOWER, Matrix, _det_rows, det
+from rcg.puiseux import X
 from rcg.slgroup import (
     GroupElement,
     member_A,
@@ -126,6 +128,10 @@ def test_kau_certificate_rejects_smuggled_determinant():
         double[0] = [2 * x for x in double[0]]
         with pytest.raises(DomainError, match="determinant is 2"):
             iwasawa_kau(GroupElement._unchecked(Matrix.tower(double)))
+    # the same certificate serves the Puiseux field, to the working order
+    neg = [[-X, 0], [1, X.invert()]]
+    with pytest.raises(DomainError, match=re.escape("determinant of k is -1 + O(X^(-8))")):
+        iwasawa_kau(GroupElement._unchecked(Matrix.puiseux(neg)))
 
 
 def test_unchecked_paths_skip_the_determinant(monkeypatch):

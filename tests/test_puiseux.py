@@ -513,10 +513,12 @@ def test_truncation_order_must_be_positive():
     from rcg.slgroup import GroupElement
 
     g = GroupElement.puiseux([[X, 0], [0, invert(X)]])
+    tower_g = GroupElement.tower([[2, 3], [1, 2]])
     s = Matrix.puiseux([[X, 1], [1, -X]])
     a = X + 1
     for bad in (0, -1, F(-1, 2)):
         for call in (lambda: PuiseuxDomain(bad), lambda: cartan_kak(g, order=bad),
+                     lambda: cartan_kak(tower_g, order=bad),
                      lambda: sym_eigen_lift(s, order=bad), lambda: a.invert(bad),
                      lambda: a.sqrt_positive(bad), lambda: invert(a, bad)):
             with pytest.raises(DomainError, match="^truncation order must be positive$"):

@@ -63,6 +63,9 @@ def test_memberships_examples():
     m = diag(-1, -1, 1)
     assert member_M(m) and member_N(m) and member_A(diag(1, 1, 1))
     assert not member_A(m)
+    assert not member_N(a) and not member_U(a) and not member_U(u.transpose())
+    # one nonzero entry per row, but two in one column
+    assert not member_N(GroupElement._unchecked(Matrix.tower([[1, 0], [1, 0]])))
 
 
 def test_theta():
