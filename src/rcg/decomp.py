@@ -7,10 +7,18 @@ the tower; over the Puiseux field every known term of k*a*u - g etc. must
 vanish), then each factor against its subgroup predicate.  That check
 costs more than a tower decomposition, so the caller that prints a result
 (the CLI) pays for it.  A decomposition checks only det = 1, once per
-factor: a factor whose shape or construction fixes it is built unchecked,
-the others by the cheapest identity that fixes it.  None takes the
-determinant of a K factor, whose columns each carry their own radical, or
-checks itself by a second algorithm.
+factor, in the field where that factor was computed: a factor whose shape
+or construction fixes it is built unchecked, the others by the cheapest
+identity that fixes it.
+- KAU and UAK: a = diag(r_j) by prod(r_j^2) = 1, the squared column norms
+  of Gram-Schmidt in g's own tower; k by det(qhat) * prod(1/r_j) = 1;
+  u is unitriangular.  a_component forms and certifies only a.
+- KAK: a = diag(sqrt(lam_j)) by prod(lam_j) = 1 over the eigenvalues of
+  g^T g; det k2 = +1 by the eigenvector frame, and det k1 follows.
+- Bruhat: b1 is unitriangular; w and b2 are checked by their
+  determinants, a signed permutation and a triangular matrix.
+None takes the determinant of a K or A factor, whose columns each carry
+their own radical, or checks itself by a second algorithm.
 
 The Weyl chamber A+ is realised as non-increasing diagonal (equivalently
 chi_delta(a) >= 1 for the simple roots); Cartan middle factors are sorted
@@ -96,22 +104,13 @@ class BruhatResult(_Factorisation):
 # ---------------------------------------------------------------------------
 # Iwasawa
 
-def iwasawa_kau(g: GroupElement) -> KAUResult:
-    """g = k a u by Gram-Schmidt on the columns of g.
-
-    The orthogonalisation itself is division-only (no radicals), so u is
-    exact over the base field; the radicals enter only through the column
-    norms, which populate a and k.
-
-    k is certified column by column: det(k) = det(qhat) * prod(1/r_j) must
-    be 1 (every known term of the difference vanishes), and qhat, the
-    Gram-Schmidt matrix, stays in g's own tower, where its determinant is
-    cheap.  u is unitriangular, det 1 by shape.  a, a cheap diagonal
-    determinant, stays checked: it refuses an input with |det g| != 1.
-    """
-    dom = g.mat.domain
-    n = g.n
-    cols = [g.mat.col(j) for j in range(n)]
+def _gram_schmidt(m: Matrix):
+    """Gram-Schmidt on the columns of m, division-only (no radicals): the
+    orthogonal columns qhat_j, their squared norms and the rows of the
+    unitriangular u with m = qhat u.  Everything stays in m's own tower."""
+    dom = m.domain
+    n = m.nrows
+    cols = [m.col(j) for j in range(n)]
     qhat = []
     norm2 = []
     inv_norm2 = []
@@ -126,20 +125,51 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
         n2 = _dot(v, v, dom)
         norm2.append(n2)
         inv_norm2.append(dom.invert(n2))
-    r_diag = [dom.sqrt_positive(n2) for n2 in norm2]
+    return qhat, norm2, u_rows
+
+
+def _a_factor(squares, dom):
+    """The roots r_j = sqrt(squares_j) and a = diag(r), certified by
+    prod(squares) = 1 in the squares' own field: det a = sqrt(prod(squares))
+    as every r_j > 0, so no product of the radicals r_j is formed."""
+    total = reduce(mul, squares)
+    if not dom.vanishes(total - dom.one):
+        raise DomainError(f"determinant is {dom.sqrt_positive(total)}, not 1")
+    roots = [dom.sqrt_positive(x) for x in squares]
+    return roots, GroupElement._unchecked(Matrix.diagonal(roots, dom))
+
+
+def iwasawa_kau(g: GroupElement) -> KAUResult:
+    """g = k a u by Gram-Schmidt on the columns of g.
+
+    The orthogonalisation itself is division-only (no radicals), so u is
+    exact over the base field; the radicals enter only through the column
+    norms r_j = sqrt(norm2_j), which populate a and k.
+
+    Each factor is certified once:
+    - a = diag(r) by prod(norm2_j) = 1 in g's own tower (a refuses an input
+      with |det g| != 1);
+    - k column by column: det(k) = det(qhat) * prod(1/r_j) must be 1 (every
+      known term of the difference vanishes), qhat the Gram-Schmidt matrix,
+      whose determinant is cheap;
+    - u is unitriangular, det 1 by shape.
+    """
+    dom = g.mat.domain
+    n = g.n
+    qhat, norm2, u_rows = _gram_schmidt(g.mat)
+    r_diag, a = _a_factor(norm2, dom)
     inv_r = [dom.invert(r) for r in r_diag]
     k_mat = Matrix(
         dom,
         [[qhat[j][i] * inv_r[j] for j in range(n)] for i in range(n)],
     )
-    a_mat = Matrix.diagonal(r_diag, dom)
     u = GroupElement._unchecked(Matrix(dom, u_rows))
     d = det(Matrix(dom, list(zip(*qhat))))
     for x in inv_r:
         d = d * x
     if not dom.vanishes(d - dom.one):
         raise DomainError(f"determinant of k is {d}, not 1")
-    return KAUResult(GroupElement._unchecked(k_mat), GroupElement(a_mat), u)
+    return KAUResult(GroupElement._unchecked(k_mat), a, u)
 
 
 def _flip(m: Matrix) -> Matrix:
@@ -168,8 +198,12 @@ def iwasawa_uak(g: GroupElement) -> UAKResult:
 
 
 def a_component(g: GroupElement) -> GroupElement:
-    """The A-part of the UAK Iwasawa decomposition."""
-    return iwasawa_uak(g).a
+    """The A-part of the UAK Iwasawa decomposition, iwasawa_uak(g).a: the
+    column norms of the flip-conjugate J g^T J, in reverse order.  Only a is
+    formed and certified (prod(norm2_j) = 1); no k, no u, no determinant."""
+    _, norm2, _ = _gram_schmidt(_flip(g.mat.transpose()))
+    _, a = _a_factor(norm2[::-1], g.mat.domain)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +225,12 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     they fall short even of that, for want of working order.  A given order
     must be positive over both fields (DomainError).
 
-    Only a is checked, a diagonal determinant.  det k2 = det V = +1, as
-    _special_orthogonal fixes its sign and its columns are unit vectors;
-    det k1 = det g * det V / det a = 1, det g checked when g entered."""
+    Each factor is certified once, and none by a determinant:
+    - a = diag(sqrt(lam_j)) by prod(lam_j) = det(g^T g) = 1, in the field
+      of the eigenvalues (the tower, or the series);
+    - det k2 = det V = +1, as _special_orthogonal fixes its sign and its
+      columns are unit vectors;
+    - det k1 = det g * det V / det a = 1, det g checked when g entered."""
     dom = g.mat.domain
     working = dom if order is None else PuiseuxDomain(order)  # checks order > 0
     if dom is not TOWER:
@@ -204,10 +241,9 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     else:
         lift = sym_eigen_lift(s, dom.order)
         lams, vmat = lift.eigenvalues, lift.eigenvectors
-    a_diag = [dom.sqrt_positive(lam) for lam in lams]
+    a_diag, a = _a_factor(lams, dom)
     inv_a = [dom.invert(x) for x in a_diag]
     n = g.n
-    a_mat = Matrix.diagonal(a_diag, dom)
     k2 = GroupElement._unchecked(vmat.transpose())
     k1 = Matrix(
         dom,
@@ -216,7 +252,7 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
             for i in range(n)
         ],
     )
-    return KAKResult(GroupElement._unchecked(k1), GroupElement(a_mat), k2)
+    return KAKResult(GroupElement._unchecked(k1), a, k2)
 
 
 def kak_uniqueness_check(g: GroupElement, res1: KAKResult, res2: KAKResult) -> GroupElement:

@@ -12,6 +12,11 @@ log b.  The hull decision runs exact rational geometry on interval
 midpoints and only accepts an answer whose margin dominates the interval
 error; PrecisionExhausted is raised when the point sits within slack
 10^-20 of the hull boundary.
+
+The orbit sampler checks nothing twice: its rotations are built unchecked
+(c^2 + s^2 = 1 fixes each determinant), a_component certifies the
+A-component by prod(r_j^2) = 1 in decomp, chamber_projection sorts it into
+A+ without testing it again, and each character gap is formed once.
 """
 
 from __future__ import annotations
@@ -51,6 +56,14 @@ class ChamberPoint:
         self.element = element
         self.n = element.n
 
+    @classmethod
+    def _unchecked(cls, element: GroupElement) -> "ChamberPoint":
+        """A point the caller has already placed in A+; nothing is tested."""
+        point = object.__new__(cls)
+        point.element = element
+        point.n = element.n
+        return point
+
     @staticmethod
     def from_diagonal(entries, domain=None) -> "ChamberPoint":
         return ChamberPoint(GroupElement(Matrix.diagonal(entries, domain or TOWER)))
@@ -67,7 +80,8 @@ class ChamberPoint:
 def chamber_projection(a: GroupElement) -> ChamberPoint:
     """The A+ representative of an A-element: diagonal sorted descending
     (the spherical Weyl group acts by permuting diagonal entries).  A
-    permuted diagonal keeps a's determinant, so it is not computed again."""
+    permuted diagonal keeps a's determinant and positive entries, and the
+    sort has decided every step's sign, so none is tested again."""
     if not member_A(a):
         raise DomainError("chamber projection needs an A-element")
     dom = a.mat.domain
@@ -77,7 +91,7 @@ def chamber_projection(a: GroupElement) -> ChamberPoint:
         while j > 0 and dom.sign(diag[j - 1] - diag[j]) < 0:
             diag[j - 1], diag[j] = diag[j], diag[j - 1]
             j -= 1
-    return ChamberPoint(GroupElement._unchecked(Matrix.diagonal(diag, dom)))
+    return ChamberPoint._unchecked(GroupElement._unchecked(Matrix.diagonal(diag, dom)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +135,18 @@ def char_value(vec, a: ChamberPoint):
     return total
 
 
+def _char_gaps(a: ChamberPoint, b: ChamberPoint):
+    """The gaps chi_j(b) - chi_j(a), one per convexity character, formed
+    lazily in character order."""
+    if a.n != b.n:
+        raise DomainError("dimension mismatch")
+    return (char_value(vec, b) - char_value(vec, a) for vec in kostant_chars(a.n))
+
+
 def kostant_member(a: ChamberPoint, b: ChamberPoint) -> bool:
     """True iff chi_j(a) <= chi_j(b) for every convexity character (exact
     sign tests; works over both scalar fields)."""
-    if a.n != b.n:
-        raise DomainError("dimension mismatch")
-    dom = a.element.mat.domain
-    for vec in kostant_chars(a.n):
-        diff = char_value(vec, b) - char_value(vec, a)
-        if dom.sign(diff) < 0:
-            return False
-    return True
+    return all(gap.sign() >= 0 for gap in _char_gaps(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +279,8 @@ def hull_oracle(a: ChamberPoint, b: ChamberPoint) -> bool:
 # orbit sampling
 
 def _rotation(n, i, j, t: Fraction) -> GroupElement:
+    """The rotation by the rational point (c, s) of the unit circle with
+    tan-half parameter t; c^2 + s^2 = 1 makes its determinant 1."""
     c = (1 - t * t) / (1 + t * t)
     s = 2 * t / (1 + t * t)
     rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
@@ -271,7 +288,7 @@ def _rotation(n, i, j, t: Fraction) -> GroupElement:
     rows[j][j] = c
     rows[i][j] = -s
     rows[j][i] = s
-    return GroupElement.tower(rows)
+    return GroupElement._unchecked(Matrix.tower(rows))
 
 
 @dataclass
@@ -286,10 +303,11 @@ def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSamp
     """Sample K-orbit points k*b with exact rational rotations, project
     their Iwasawa A-components to the chamber and check the character
     inequalities every time.  A single violation raises InternalError
-    (this is the falsifiable face of the convexity statement)."""
+    (this is the falsifiable face of the convexity statement).  Each gap
+    chi_j(b) - chi_j(a) is formed once and serves both the exact sign test
+    and the reported slack."""
     rng = random.Random(seed)
     n = b.n
-    chars = kostant_chars(n)
     min_slack = None
     max_slack = None
     for _ in range(trials):
@@ -299,12 +317,12 @@ def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSamp
             t = F(rng.randint(-9, 9), rng.randint(1, 9))
             k = k * _rotation(n, i, j, t)
         proj = chamber_projection(a_component(k * b.element))
-        if not kostant_member(proj, b):
+        gaps = list(_char_gaps(proj, b))
+        if any(gap.sign() < 0 for gap in gaps):
             raise InternalError("convexity violation")
         slack = None
-        for vec in chars:
-            diff = char_value(vec, b) - char_value(vec, proj)
-            lo, hi = diff.approx(F(1, 10**12))
+        for gap in gaps:
+            lo, hi = gap.approx(F(1, 10**12))
             v = float((lo + hi) / 2)
             slack = v if slack is None else min(slack, v)
         min_slack = slack if min_slack is None else min(min_slack, slack)

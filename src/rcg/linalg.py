@@ -676,12 +676,14 @@ def sym_eigen_tower(s: Matrix):
         basis = kernel(Matrix(TOWER, _shift_diagonal(s.data, -lam)))
         if len(basis) != 1:
             raise RepeatedEigenvalue("eigenspace dimension exceeds one")
-        v = basis[0]
-        norm2 = _dot(v, v, TOWER)
-        inv_norm = tower_sqrt(norm2).inv()
-        v = [x * inv_norm for x in v]
-        cols.append(_orient(v))
-    return lams, _special_orthogonal(cols, TOWER)
+        cols.append(_orient(basis[0]))
+    # the frame's sign is read before normalising: each column is scaled
+    # by a positive 1/norm, which carries a radical of its own
+    frame = _special_orthogonal(cols, TOWER)
+    inv_norms = [tower_sqrt(_dot(v, v, TOWER)).inv() for v in cols]
+    return lams, Matrix(
+        TOWER, [[x * inv_norms[j] for j, x in enumerate(r)] for r in frame.data]
+    )
 
 
 def _orient(v):
@@ -697,23 +699,52 @@ def _orient(v):
 
 
 def _special_orthogonal(cols, domain) -> Matrix:
-    """The matrix V with these orthonormal columns, the last one negated
-    when that is what gives it determinant +1.
-
-    Only the sign of det(V) = +-1 is needed.  A unit vector has no entry
-    with a term above X^0, so the X^0 coefficient of det(V) is det(V0),
-    where V0 is the tower matrix of the entries' X^0 coefficients (for a
-    tower matrix, V itself).  IndeterminateSign when an X^0 coefficient is
-    unknown or det(V0) is 0."""
+    """The matrix V with these orthogonal columns, the last one negated
+    when that is what gives it det(V) > 0.  Scaling a column by a positive
+    number keeps that sign, so the tower caller passes its eigenvectors
+    unnormalised, where they share their eigenvalues' towers.  Over the
+    Puiseux field the columns are unit vectors and the sign is read at X^0
+    (_x0_det_sign)."""
     rows = list(zip(*cols))
-    if domain is not TOWER:
-        rows = [[x.coefficient(0) for x in r] for r in rows]
-    sign = det(Matrix(TOWER, rows)).sign()
-    if sign == 0:
-        raise IndeterminateSign("det(V) has no known term at X^0")
+    if domain is TOWER:
+        sign = det(Matrix(TOWER, rows)).sign()
+    else:
+        sign = _x0_det_sign(rows)
     if sign < 0:
         cols[-1] = [-x for x in cols[-1]]
     return Matrix(domain, list(zip(*cols)))
+
+
+def _x0_det_sign(rows) -> int:
+    """The sign of det(V) = +-1 for a Puiseux matrix V with these unit rows.
+
+    A unit vector has no entry with a term above X^0, so the X^0
+    coefficient of det(V) is det(V0), where V0 is the tower matrix of the
+    entries' X^0 coefficients.  IndeterminateSign when an X^0 coefficient
+    is unknown or det(V0) is 0."""
+    sign = det(Matrix(TOWER, [[x.coefficient(0) for x in r] for r in rows])).sign()
+    if sign == 0:
+        raise IndeterminateSign("det(V) has no known term at X^0")
+    return sign
+
+
+def _orthogonal_det_sign(m: Matrix) -> int:
+    """det(m), +1 or -1, for an m with m m^T = I, which the caller has
+    checked (over the Puiseux field: to every known term).
+
+    Over the tower no product of the entries' radicals is formed.  Each
+    entry is enclosed in a rational interval of width 1/(2 n^2), and M is
+    the matrix of midpoints, so every column of E = M - m has length at
+    most sqrt(n)/(4 n^2).  Replacing m's unit columns by M's one at a time,
+    |det M - det m| <= n * |E_j| * (1 + |E_j|)^(n-1) < e^(1/4)/4 < 1/2
+    (Hadamard's bound on each step), so det M lies within 1/2 of det m =
+    +-1 and its sign is det m.  Over the Puiseux field the sign is read at
+    X^0 (_x0_det_sign)."""
+    if m.domain is not TOWER:
+        return _x0_det_sign(m.data)
+    width = F(1, 2 * m.nrows * m.nrows)
+    mid = [[sum(x.approx(width)) / 2 for x in r] for r in m.data]
+    return det(Matrix.tower(mid)).sign()
 
 
 # ---------------------------------------------------------------------------

@@ -573,13 +573,19 @@ def _operand(x):
 
 def _positive_order(order) -> Fraction:
     """A relative truncation order as a Fraction (None: DEFAULT_REL_ORDER);
-    DomainError unless it is positive."""
+    DomainError unless it is a positive rational number (an int, a Fraction
+    or a string that parses as one; a bool is no order)."""
     if order is None:
         return DEFAULT_REL_ORDER
-    order = F(order)
-    if order <= 0:
+    try:
+        value = None if isinstance(order, bool) else F(order)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None:
+        raise DomainError(f"truncation order {order!r} is not a rational number")
+    if value <= 0:
         raise DomainError("truncation order must be positive")
-    return order
+    return value
 
 
 def _lattice(tail, *term_lists):

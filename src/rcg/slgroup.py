@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalError
-from .linalg import Matrix, TOWER, _dot, det, inverse
+from .errors import DomainError, IndeterminateSign, InternalError
+from .linalg import Matrix, TOWER, _dot, _orthogonal_det_sign, det, inverse
 
 F = Fraction
 
@@ -35,10 +35,17 @@ class GroupElement:
 
     The constructor checks det = 1 (over the Puiseux field: every known term
     of det - 1 vanishes), so every matrix that enters SL_n from outside is
-    checked once.  Products and transposes of elements are built unchecked:
-    ring operations cannot move a determinant off 1.  inverse() divides and
-    stays checked.  Decompositions build unchecked the factors whose
-    construction fixes det = 1 (see decomp)."""
+    checked once.  The elements built unchecked, with the identity that
+    certifies each:
+    - products and transposes: ring operations cannot move a determinant
+      off 1 (inverse() divides and stays checked);
+    - the identity, by its shape;
+    - decomposition factors, each by one identity in the field where it was
+      computed (see decomp): prod(r_j^2) = 1 for an Iwasawa a, prod(lam_j)
+      = 1 for a Cartan a, det(qhat) * prod(1/r_j) = 1 for an Iwasawa k, the
+      eigenvector frame and det g for the Cartan k's, a unit diagonal for u
+      and b1;
+    - the rotations of the Kostant orbit sampler, by c^2 + s^2 = 1."""
 
     __slots__ = ("mat", "n")
 
@@ -74,7 +81,7 @@ class GroupElement:
 
     @staticmethod
     def identity(n: int, domain=TOWER) -> "GroupElement":
-        return GroupElement(Matrix.identity(n, domain))
+        return GroupElement._unchecked(Matrix.identity(n, domain))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement._unchecked(self.mat * other.mat)
@@ -145,13 +152,22 @@ def _is_zero(mat: Matrix, i, j) -> bool:
 
 
 def member_K(g: GroupElement) -> bool:
-    """k k^T = I, from its entries i <= j (the product is symmetric)."""
+    """k k^T = I, from its entries i <= j (the product is symmetric), and
+    det k = +1.  Once k k^T = I holds, det k = +-1, and only its sign is
+    read (_orthogonal_det_sign): from rational enclosures over the tower,
+    at X^0 over the Puiseux field.  When an X^0 coefficient of k is unknown,
+    so is that of det k, and det k - 1 has no known term to refute it."""
     rows, dom, n = g.mat.data, g.mat.domain, g.n
-    return all(
+    if not all(
         dom.vanishes(_dot(rows[i], rows[j], dom) - (dom.one if i == j else dom.zero))
         for i in range(n)
         for j in range(i, n)
-    )
+    ):
+        return False
+    try:
+        return _orthogonal_det_sign(g.mat) > 0
+    except IndeterminateSign:
+        return True
 
 
 def _is_diagonal(mat: Matrix) -> bool:

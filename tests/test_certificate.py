@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import rcg.linalg
 import rcg.slgroup
 from rcg.decomp import (
     BruhatResult,
@@ -31,7 +32,7 @@ from rcg.errors import DomainError, InternalError
 from rcg.kostant import chamber_projection
 from rcg.linalg import PUISEUX, TOWER, Matrix, _exact_key
 from rcg.puiseux import PuiseuxScalar, X
-from rcg.slgroup import GroupElement
+from rcg.slgroup import GroupElement, member_K
 from rcg.tower import TowerScalar, sqrt_positive
 
 F = Fraction
@@ -88,6 +89,46 @@ def test_certify_rejects_a_wrong_factor(g):
         outside.certify(g)
 
 
+@pytest.mark.parametrize("g", [TOWER_G, PUISEUX_G], ids=["tower", "puiseux"])
+def test_certify_rejects_k_factors_of_determinant_minus_one(g):
+    """k1 D and D k2 reconstruct g and keep k k^T = I, but det k = -1."""
+    res = cartan_kak(g)
+    flip = GroupElement._unchecked(Matrix.diagonal([-1, 1], g.mat.domain))
+    assert member_K(res.k1) and member_K(res.k2)
+    assert not member_K(res.k1 * flip) and not member_K(flip * res.k2)
+    wrong = replace(res, k1=res.k1 * flip, k2=flip * res.k2)
+    with pytest.raises(InternalError, match="k1 is not in its subgroup"):
+        wrong.certify(g)
+
+
+def test_member_k_refutes_no_determinant_it_cannot_read():
+    """An entry known only above X^1 has no known X^0 coefficient, so no
+    known term of k k^T - I or of det k - 1 refutes membership."""
+    fuzzy = PuiseuxScalar((), 1)
+    assert member_K(GroupElement._unchecked(Matrix.puiseux([[fuzzy, 0], [0, 1]])))
+    assert not member_K(GroupElement._unchecked(Matrix.puiseux([[-1, 0], [0, 1]])))
+
+
+def test_member_k_reads_the_tower_determinant_sign_from_rationals(monkeypatch):
+    """Over the tower the sign of det k is read from a rational matrix near
+    k, never from a product of the radicals in k's columns."""
+    g = GroupElement.tower([[1, 3, 1], [0, 1, 4], [0, 0, 1]]) * GroupElement.tower(
+        [[1, 0, 0], [2, 1, 0], [F(1, 3), 5, 1]]
+    )
+    k = iwasawa_kau(g).k
+    assert not all(x.is_rational() for row in k.mat.data for x in row)
+    seen = []
+    det = rcg.linalg.det
+
+    def rational_det(m):
+        seen.append(all(x.is_rational() for row in m.data for x in row))
+        return det(m)
+
+    monkeypatch.setattr(rcg.linalg, "det", rational_det)
+    assert member_K(k)
+    assert seen == [True]
+
+
 def test_vanishes_is_zero_over_the_tower_and_no_known_term_over_puiseux():
     r2 = sqrt_positive(2)
     assert TOWER.vanishes(r2 - r2)
@@ -118,8 +159,9 @@ def test_chamber_projection_computes_no_determinant(monkeypatch):
 
 def test_decompositions_take_no_determinant_their_construction_fixes(monkeypatch):
     """Only factors whose determinant the construction does not fix are
-    checked: a for KAK (k1 and k2 follow from det g and the eigenvectors),
-    w and b2 for Bruhat (b1 is unitriangular).  certify takes none."""
+    checked by a determinant: w and b2 for Bruhat (b1 is unitriangular).
+    KAK takes none (a by prod(lam_j) = 1; k1 and k2 follow from det g and
+    the eigenvectors), and certify takes none."""
     g = GroupElement.puiseux([[X, 1, 0], [0, 1, 0], [0, 1, X.invert()]])
     calls = []
     det = rcg.slgroup.det
@@ -129,7 +171,7 @@ def test_decompositions_take_no_determinant_their_construction_fixes(monkeypatch
         return det(m)
 
     monkeypatch.setattr(rcg.slgroup, "det", counting_det)
-    for decompose, taken in ((cartan_kak, 1), (bruhat, 2)):
+    for decompose, taken in ((cartan_kak, 0), (bruhat, 2)):
         calls.clear()
         decompose(g).certify(g)
         assert len(calls) == taken, decompose.__name__

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import rcg.decomp
 import rcg.puiseux
+import rcg.slgroup
 from rcg.decomp import (
     KAKResult,
     a_component,
@@ -14,7 +16,7 @@ from rcg.decomp import (
     iwasawa_uak,
     kak_uniqueness_check,
 )
-from rcg.errors import NoRelatingElement, RepeatedEigenvalue
+from rcg.errors import DomainError, NoRelatingElement, RepeatedEigenvalue
 from rcg.linalg import TOWER, Matrix, PuiseuxDomain, det
 from rcg.puiseux import PuiseuxScalar, X
 from rcg.slgroup import (
@@ -190,6 +192,56 @@ def test_domain_order_is_the_working_order():
     by_domain = cartan_kak(deep)
     for name, factor in by_domain.factors().items():
         assert str(factor.mat) == str(by_keyword.factors()[name].mat)
+
+
+PUISEUX_A_INPUTS = [
+    [[X, 0], [1, X.invert()]],
+    [[2 * X, 3], [1, 2 * X.invert()]],
+    [[X, 1, 0], [0, 1, 0], [0, 1, X.invert()]],
+    # L diag(X, 1, 1/X) U, L unit lower and U unit upper triangular
+    [[X, X, 2 * X], [2 * X, 2 * X + 1, 4 * X - 1], [-X, 3 - X, X.invert() - 2 * X - 3]],
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_component_is_the_uak_a_tower(n):
+    rng = random.Random(40 + n)
+    for _ in range(4):
+        g = rand_sl(rng, n)
+        assert a_component(g) == iwasawa_uak(g).a
+
+
+@pytest.mark.parametrize("rows", PUISEUX_A_INPUTS, ids=["sl2-a", "sl2-b", "sl3-a", "sl3-b"])
+def test_a_component_is_the_uak_a_puiseux(rows):
+    g = GroupElement.puiseux(rows)
+    assert a_component(g) == iwasawa_uak(g).a
+
+
+def test_a_component_forms_only_a(monkeypatch):
+    """No k, no u and no determinant: only the Gram-Schmidt norms."""
+    g = rand_sl(random.Random(5), 4)
+    expected = iwasawa_uak(g).a
+
+    def refuse(*_):
+        raise AssertionError("a_component formed more than a")
+
+    for name in ("iwasawa_uak", "iwasawa_kau", "det"):
+        monkeypatch.setattr(rcg.decomp, name, refuse)
+    monkeypatch.setattr(rcg.slgroup, "det", refuse)
+    assert a_component(g) == expected
+
+
+@pytest.mark.parametrize("decompose", [a_component, cartan_kak], ids=lambda f: f.__name__)
+def test_a_factor_refuses_determinant_two(decompose):
+    stretched = Matrix.diagonal([4, 1, F(1, 2)]) * rotation(3, 0, 1, F(1, 2)).mat
+    for m in (Matrix.tower([[4, 6], [1, 2]]), stretched):
+        smuggled = GroupElement._unchecked(m)
+        assert det(smuggled.mat) == 2
+        with pytest.raises(DomainError, match="^determinant is 2, not 1$"):
+            decompose(smuggled)
+    smuggled = GroupElement._unchecked(Matrix.puiseux([[2 * X, 0], [1, X.invert()]]))
+    with pytest.raises(DomainError, match="^determinant is 2"):
+        decompose(smuggled)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rcg.errors import DomainError, PrecisionExhausted
+import rcg.kostant
+from rcg.errors import DomainError, InternalError, PrecisionExhausted
 from rcg.kostant import (
     ChamberPoint,
     chamber_projection,
@@ -189,3 +190,26 @@ def test_orbit_sample_sl3():
     b = chamber(3, 1, F(1, 3))
     report = orbit_sample_check(b, 40, seed=7)
     assert report.violations == 0
+
+
+def test_orbit_sample_check_raises_outside_the_hull(monkeypatch):
+    b = chamber(3, 1, F(1, 3))
+    outside = GroupElement.tower([[9, 0, 0], [0, 1, 0], [0, 0, F(1, 9)]])
+    monkeypatch.setattr(rcg.kostant, "a_component", lambda g: outside)
+    with pytest.raises(InternalError, match="convexity violation"):
+        orbit_sample_check(b, 3, seed=1)
+
+
+def test_chamber_projection_tests_its_input_once(monkeypatch):
+    calls = []
+    member_a = rcg.kostant.member_A
+
+    def counting(g):
+        calls.append(g)
+        return member_a(g)
+
+    monkeypatch.setattr(rcg.kostant, "member_A", counting)
+    a = GroupElement.tower([[F(1, 2), 0, 0], [0, 4, 0], [0, 0, F(1, 2)]])
+    proj = chamber_projection(a)
+    assert calls == [a]
+    assert proj.diagonal() == [4, F(1, 2), F(1, 2)] and proj.n == 3

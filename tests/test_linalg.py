@@ -201,6 +201,34 @@ def test_sym_eigen_tower_random_3x3_rational_spectrum():
         assert s * v == v * lam_mat
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sym_eigen_tower_frame_has_det_exactly_one(n):
+    """Random symmetric inputs; for n = 3 a rational eigenvalue and a
+    quadratic pair, so the columns carry different radicals."""
+    rng = random.Random(60 + n)
+    for _ in range(8):
+        if n == 2:
+            a, b, c = (F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+            if b == 0:
+                continue
+            s = Matrix.tower([[a, b], [b, c]])
+        else:
+            p, q, r, d = (F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+            if q == 0:
+                continue
+            t = F(rng.randint(-3, 3), rng.randint(1, 3))
+            c_, s_ = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+            rot = Matrix.tower([[1, 0, 0], [0, c_, -s_], [0, s_, c_]])
+            block = Matrix.tower([[d, 0, 0], [0, p, q], [0, q, r]])
+            s = rot * block * rot.transpose()
+        try:
+            lams, v = sym_eigen_tower(s)
+        except RepeatedEigenvalue:
+            continue
+        assert det(v) == 1
+        assert v.transpose() * v == Matrix.identity(n)
+
+
 def _assert_known_zero(p: PuiseuxScalar):
     for e, c in p.terms:
         assert c.is_zero(), f"unexpected known term at exponent {e}"

@@ -525,3 +525,16 @@ def test_truncation_order_must_be_positive():
                 call()
     assert PuiseuxDomain(F(1, 2)).order == F(1, 2)
     assert a.invert(F(1, 2)).tail == F(-3, 2)
+
+
+def test_truncation_order_must_be_a_rational_number():
+    from rcg.decomp import cartan_kak
+    from rcg.linalg import PuiseuxDomain
+    from rcg.slgroup import GroupElement
+
+    tower_g = GroupElement.tower([[2, 3], [1, 2]])
+    for call in (lambda: PuiseuxDomain("x"), lambda: PuiseuxDomain(True),
+                 lambda: cartan_kak(tower_g, order="x")):
+        with pytest.raises(DomainError, match="is not a rational number"):
+            call()
+    assert PuiseuxDomain("3/2").order == F(3, 2)
