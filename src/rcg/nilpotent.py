@@ -23,7 +23,7 @@ from .errors import (
     ZeroInput,
     ZeroParameter,
 )
-from .linalg import Matrix, _dot, commutator, inverse, kernel, rank, solve
+from .linalg import Matrix, _eliminate, _lower, commutator, inverse, kernel, solve
 from .slgroup import (
     GroupElement,
     RootIndex,
@@ -41,32 +41,36 @@ def _is_zero_matrix(m: Matrix) -> bool:
     return all(m.domain.is_zero(x) for row in m.data for x in row)
 
 
-def _nilpotency_index(x: Matrix) -> int:
-    """Smallest q with x^q = 0; NotNilpotent if none exists."""
-    n = x.nrows
+def _nilpotent_powers(x: Matrix) -> list:
+    """The nonzero powers [x, x^2, ..., x^(q-1)] of x, q its nilpotency
+    index; DomainError unless x is square, NotNilpotent if x^n != 0."""
+    if not x.is_square():
+        raise DomainError("nilpotent calculus needs a square matrix")
+    powers = []
     cur = x
-    for q in range(1, n + 1):
+    for _ in range(x.nrows):
         if _is_zero_matrix(cur):
-            return q
+            return powers
+        powers.append(cur)
         cur = cur * x
     raise NotNilpotent("matrix power x^n is nonzero")
 
 
-def _series(nil: Matrix, start: Matrix, coeff) -> Matrix:
-    """start + coeff(1) nil + ... + coeff(n-1) nil^(n-1), nil nilpotent n x n."""
+def _series(powers, start: Matrix, coeff) -> Matrix:
+    """start + coeff(1) x + ... + coeff(q-1) x^(q-1) over the powers of x."""
     total = start
-    term = Matrix.identity(nil.nrows, nil.domain)
-    for k in range(1, nil.nrows):
-        term = term * nil
-        total = total + term * coeff(k)
+    for k, power in enumerate(powers, 1):
+        total = total + power * coeff(k)
     return total
 
 
 def exp_nilpotent(x: Matrix) -> GroupElement:
-    """Finite-sum exponential of a verified nilpotent matrix."""
-    _nilpotency_index(x)
+    """Finite-sum exponential of a verified nilpotent matrix, built
+    unchecked: det exp(x) = e^(tr x) = 1 once x is nilpotent."""
     one = Matrix.identity(x.nrows, x.domain)
-    return GroupElement(_series(x, one, lambda k: F(1, factorial(k))))
+    return GroupElement._unchecked(
+        _series(_nilpotent_powers(x), one, lambda k: F(1, factorial(k)))
+    )
 
 
 def log_unipotent(u) -> Matrix:
@@ -74,12 +78,19 @@ def log_unipotent(u) -> Matrix:
     exp_nilpotent."""
     mat = u.mat if isinstance(u, GroupElement) else u
     n = mat.nrows
-    nil = mat - Matrix.identity(n, mat.domain)
     try:
-        _nilpotency_index(nil)
+        powers = _nilpotent_powers(mat - Matrix.identity(n, mat.domain))
     except NotNilpotent:
         raise NotUnipotent("u - 1 is not nilpotent") from None
-    return _series(nil, Matrix.zeros(n, n, mat.domain), lambda k: F((-1) ** (k + 1), k))
+    return _series(powers, Matrix.zeros(n, n, mat.domain), lambda k: F((-1) ** (k + 1), k))
+
+
+def _root_group_element(n: int, alpha: RootIndex, t, domain) -> GroupElement:
+    """exp(t E_ij) = I + t E_ij for alpha = e_i - e_j, built unchecked: it
+    is triangular with unit diagonal."""
+    ij = (alpha.i, alpha.j)
+    rows = [[1 if a == b else t if (a, b) == ij else 0 for b in range(n)] for a in range(n)]
+    return GroupElement._unchecked(Matrix(domain, rows))
 
 
 def _require_strictly_upper(x: Matrix, name: str):
@@ -180,29 +191,24 @@ def zassenhaus(x: Matrix, y: Matrix) -> list:
         xy * F(-1, 2),
         commutator(y, xy) * F(1, 3) + commutator(x, xy) * F(1, 6),
     ]
-    target = exp_nilpotent(x + y)
-    while True:
-        prod = GroupElement.identity(x.nrows, x.domain)
-        for f in factors:
-            prod = prod * exp_nilpotent(f)
-        residual = prod.inverse() * target
-        if _is_zero_matrix(residual.mat - Matrix.identity(x.nrows, x.domain)):
-            return factors
+    # exp(-f_k) ... exp(-f_1) exp(X + Y), one factor multiplied in at a time
+    residual = exp_nilpotent(x + y)
+    for f in factors:
+        residual = exp_nilpotent(-f) * residual
+    while not _is_zero_matrix(residual.mat - Matrix.identity(x.nrows, x.domain)):
         factors.append(log_unipotent(residual))
+        residual = exp_nilpotent(-factors[-1]) * residual
+    return factors
 
 
 # ---------------------------------------------------------------------------
 # the groups U_Theta and their root-ordered factorisation
 
-def _delta_coords(alpha: RootIndex, n: int):
-    """Coordinates of e_i - e_j over the simple roots d_k = e_k - e_{k+1}."""
+def root_order_key(alpha: RootIndex, n: int):
+    """Lexicographic total order on roots induced by the ordered basis: the
+    coordinates of e_i - e_j over the simple roots d_k = e_k - e_{k+1}."""
     lo, hi, sgn = (alpha.i, alpha.j, 1) if alpha.i < alpha.j else (alpha.j, alpha.i, -1)
     return tuple(sgn if lo <= k < hi else 0 for k in range(n - 1))
-
-
-def root_order_key(alpha: RootIndex, n: int):
-    """Lexicographic total order on roots induced by the ordered basis."""
-    return _delta_coords(alpha, n)
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,12 @@ def u_theta_factorize(u: GroupElement, theta_set: ThetaSet) -> list:
 
     Peeling runs in ascending order (the minimal root of a closed set can
     always be split off from the right, and removing it keeps the set
-    closed); the emitted factors are then read in reverse."""
+    closed); the emitted factors are then read in reverse.  The parameter
+    of the smallest root alpha = e_i - e_j left is the residual's (i, j)
+    entry, which its log shares: the residual lies in U_Theta' for the
+    closed set Theta' of roots left, and a product of root vectors of Theta'
+    reaches (i, j) only if alpha = beta + gamma in Theta', where beta and
+    gamma would sort below alpha."""
     n = theta_set.n
     if u.n != n:
         raise DomainError("dimension mismatch")
@@ -254,15 +265,14 @@ def u_theta_factorize(u: GroupElement, theta_set: ThetaSet) -> list:
         alpha not in theta_set.roots for alpha in dec.components
     ):
         raise NotInUTheta("log(u) is not supported on Theta")
-    ascending = list(reversed(theta_set.descending()))
+    domain = u.mat.domain
     factors = []
     residual = u
-    for alpha in ascending:
-        log_r = log_unipotent(residual)
-        comp = Matrix.unit(n, alpha.i, alpha.j, log_r.data[alpha.i][alpha.j], log_r.domain)
-        factors.append((alpha, comp))
-        residual = residual * exp_nilpotent(-comp)
-    if not _is_zero_matrix(residual.mat - Matrix.identity(n, u.mat.domain)):
+    for alpha in reversed(theta_set.descending()):
+        t = residual[alpha.i, alpha.j]
+        factors.append((alpha, Matrix.unit(n, alpha.i, alpha.j, t, domain)))
+        residual = residual * _root_group_element(n, alpha, -t, domain)
+    if not _is_zero_matrix(residual.mat - Matrix.identity(n, domain)):
         raise InternalError("U_Theta factors do not multiply back to u")
     return list(reversed(factors))
 
@@ -284,7 +294,7 @@ def psi_split(u: GroupElement, theta_set: ThetaSet, psi) -> tuple:
     def build(roots):
         prod = GroupElement.identity(n, u.mat.domain)
         for a in roots:
-            prod = prod * exp_nilpotent(Matrix.unit(n, a.i, a.j, params[a], u.mat.domain))
+            prod = prod * _root_group_element(n, a, params[a], u.mat.domain)
         return prod
 
     target_log = log_unipotent(u)
@@ -326,52 +336,41 @@ def jacobson_morozov(x: Matrix) -> Sl2Triple:
     """Complete a nonzero nilpotent to an sl2-triple via a Jordan-chain
     basis: on each chain the triple is the standard one for a single Jordan
     block (H = diag(m-1, m-3, ...), Y with entries i(m-i) below the
-    diagonal), conjugated back along the chain basis."""
+    diagonal), conjugated back along the chain basis.
+
+    Chains are found level by level, k from q down to 1: the w of a basis
+    of ker x^k that are independent of ker x^(k-1), of x ker x^(k+1) and of
+    the w before them head the chains of length k.  They are the pivot
+    columns of one elimination of the columns [those spaces | ker x^k]."""
     domain = x.domain
     n = x.nrows
-    if _is_zero_matrix(x):
+    powers = _nilpotent_powers(x)
+    if not powers:
         raise ZeroInput("Jacobson-Morozov needs a nonzero nilpotent")
-    q = _nilpotency_index(x)
-    powers = [Matrix.identity(n, domain)]
-    for _ in range(q):
-        powers.append(powers[-1] * x)
-    kernels = {0: []}
-    for k in range(1, q + 1):
-        kernels[k] = kernel(powers[k])
-    kernels[q + 1] = kernels[q]
-    chains = []
-    for k in range(q, 0, -1):
-        base = list(kernels[k - 1])
-        for w in kernels[k + 1]:
-            img = [_apply(x, w)]
-            base.extend(img)
-        # base is never empty: it holds x w for a basis w of ker x^(k+1).  The
-        # vectors go in as columns: as rows, elimination on rational sl_4 and
-        # sl_5 nilpotents ran 15-25% slower
-        base_rank = rank(Matrix(domain, list(zip(*base))))
-        for w in kernels[k]:
-            if rank(Matrix(domain, list(zip(*base, w)))) > base_rank:
-                base.append(w)
-                base_rank += 1
-                chain = [w]
-                for _ in range(k - 1):
-                    chain.append(_apply(x, chain[-1]))
-                chains.append(chain)
+    q = len(powers) + 1
+    whole = list(Matrix.identity(n, domain).data)
+    # kernels[k] is a basis of ker x^k, k = 0 .. q + 1
+    kernels = [[]] + [kernel(p) for p in powers] + [whole, whole]
     cols = []
-    blocks = []
-    for chain in sorted(chains, key=len, reverse=True):
-        cols.extend(reversed(chain))
-        blocks.append(len(chain))
-    p = Matrix(domain, cols).transpose()
     h_rows = [[0] * n for _ in range(n)]
     y_rows = [[F(0)] * n for _ in range(n)]
-    offset = 0
-    for m in blocks:
-        for t in range(m):
-            h_rows[offset + t][offset + t] = m - 1 - 2 * t
-        for t in range(1, m):
-            y_rows[offset + t][offset + t - 1] = F(t * (m - t))
-        offset += m
+    for k in range(q, 0, -1):
+        spanned = kernels[k - 1] + list(zip(*(x * _columns(kernels[k + 1], domain)).data))
+        stack = spanned + kernels[k]
+        _, pivots, _, _ = _eliminate(*_lower(_columns(stack, domain)))
+        heads = [stack[pc] for _, pc in pivots if pc >= len(spanned)]
+        if heads:
+            chain = [_columns(heads, domain)]
+            for _ in range(k - 1):
+                chain.append(x * chain[-1])
+            for c in range(len(heads)):
+                o = len(cols)
+                cols.extend(step.col(c) for step in reversed(chain))
+                for t in range(k):
+                    h_rows[o + t][o + t] = k - 1 - 2 * t
+                for t in range(1, k):
+                    y_rows[o + t][o + t - 1] = F(t * (k - t))
+    p = _columns(cols, domain)
     p_inv = inverse(p)
     h = p * Matrix(domain, h_rows) * p_inv
     y = p * Matrix(domain, y_rows) * p_inv
@@ -380,8 +379,9 @@ def jacobson_morozov(x: Matrix) -> Sl2Triple:
     return triple
 
 
-def _apply(x: Matrix, v):
-    return tuple(_dot(row, v, x.domain) for row in x.data)
+def _columns(vectors, domain) -> Matrix:
+    """The matrix with these vectors as its columns."""
+    return Matrix(domain, list(zip(*vectors)))
 
 
 def jm_basic_triple(alpha: RootIndex, x: Matrix) -> Sl2Triple:

@@ -45,7 +45,10 @@ class GroupElement:
       = 1 for a Cartan a, det(qhat) * prod(1/r_j) = 1 for an Iwasawa k, the
       eigenvector frame and det g for the Cartan k's, a unit diagonal for u
       and b1;
-    - the rotations of the Kostant orbit sampler, by c^2 + s^2 = 1."""
+    - the rotations of the Kostant orbit sampler, by c^2 + s^2 = 1;
+    - exp of a nilpotent x (see nilpotent), by det exp(x) = e^(tr x) = 1
+      once x^n = 0 has been checked, and the root-group elements I + t E_ij,
+      i != j, by their unit diagonal."""
 
     __slots__ = ("mat", "n")
 

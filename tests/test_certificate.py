@@ -7,8 +7,8 @@ above their tails, and raises InternalError for a wrong factor over either
 field, also one that reconstructs g but lies outside its subgroup.
 `domain.vanishes` is the one test for "every known term is zero";
 `_exact_key` is the one sort key for exact scalars.  The chamber
-projection, the determinant message and the decompositions compute no
-determinant they already have.
+projection, the determinant message, the decompositions and the nilpotent
+calculus compute no determinant they already have.
 """
 
 from dataclasses import replace
@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import rcg.linalg
+import rcg.nilpotent
 import rcg.slgroup
 from rcg.decomp import (
     BruhatResult,
@@ -31,6 +32,15 @@ from rcg.decomp import (
 from rcg.errors import DomainError, InternalError
 from rcg.kostant import chamber_projection
 from rcg.linalg import PUISEUX, TOWER, Matrix, _exact_key
+from rcg.nilpotent import (
+    ThetaSet,
+    bch,
+    exp_nilpotent,
+    jacobson_morozov,
+    psi_split,
+    u_theta_factorize,
+    zassenhaus,
+)
 from rcg.puiseux import PuiseuxScalar, X
 from rcg.slgroup import GroupElement, member_K
 from rcg.tower import TowerScalar, sqrt_positive
@@ -189,3 +199,66 @@ def test_a_refused_element_computes_its_determinant_once(monkeypatch):
     with pytest.raises(DomainError, match="determinant is 2, not 1"):
         GroupElement.tower([[2, 0], [0, 1]])
     assert len(calls) == 1
+
+
+def _strictly_upper(n, offset):
+    return Matrix.tower(
+        [[F((i + 2 * j + offset) % 7 - 3, 1 + (i + j) % 3) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    )
+
+
+def test_nilpotent_calculus_takes_no_determinant_and_no_checked_element(monkeypatch):
+    """exp of a nilpotent has det e^(tr x) = 1 and a root-group element a
+    unit diagonal; every other element is a product of those."""
+    x, y = _strictly_upper(5, 0), _strictly_upper(5, 3)
+    u = exp_nilpotent(x + y)
+    dets, inits = [], []
+    det, init = rcg.slgroup.det, GroupElement.__init__
+
+    def counting_det(m):
+        dets.append(m)
+        return det(m)
+
+    def counting_init(self, mat):
+        inits.append(mat)
+        init(self, mat)
+
+    monkeypatch.setattr(rcg.slgroup, "det", counting_det)
+    monkeypatch.setattr(rcg.linalg, "det", counting_det)
+    monkeypatch.setattr(GroupElement, "__init__", counting_init)
+    assert exp_nilpotent(x) * exp_nilpotent(y) == exp_nilpotent(bch(x, y))
+    assert len(zassenhaus(x, y)) >= 4
+    theta = ThetaSet.all_positive(5)
+    assert len(u_theta_factorize(u, theta)) == 10
+    u1, u2 = psi_split(u, theta, [a for a in theta.roots if a.j == a.i + 1])
+    assert u1 * u2 == u
+    assert dets == [] and inits == []
+
+
+def test_jacobson_morozov_eliminates_once_per_chain_level(monkeypatch):
+    """Jordan type (3, 2): three chain levels, the kernels of x and x^2 and
+    one inverse, all over the rational kernel."""
+    j = Matrix.tower([[int(c == r + 1 and r != 2) for c in range(5)] for r in range(5)])
+    g = GroupElement.tower([[1, 1, 0, 2, 0], [0, 1, -1, 0, 1], [1, 1, 1, 2, 0],
+                            [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]])
+    x = g.mat * j * g.inverse().mat
+    calls, products = [], []
+    eliminate, mul = rcg.linalg._eliminate, TowerScalar.__mul__
+
+    def counting_eliminate(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(rcg.linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(rcg.nilpotent, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(TowerScalar, "__mul__", counting_mul)
+    triple = jacobson_morozov(x)
+    assert len(calls) <= 3 + 2 + 1
+    assert products == []
+    # h has weights 2, 0, -2 and 1, -1
+    assert (triple.h * triple.h).trace() == 10

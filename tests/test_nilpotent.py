@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcg.errors import (
     DomainError,
@@ -11,7 +13,7 @@ from rcg.errors import (
     ZeroInput,
     ZeroParameter,
 )
-from rcg.linalg import Matrix, commutator
+from rcg.linalg import Matrix, _dot, commutator, det, inverse, kernel, rank
 from rcg.nilpotent import (
     ThetaSet,
     bch,
@@ -29,7 +31,9 @@ from rcg.nilpotent import (
     u_theta_factorize,
     zassenhaus,
 )
-from rcg.slgroup import GroupElement, RootIndex, chi, member_N
+from rcg.puiseux import X
+from rcg.slgroup import GroupElement, RootIndex, chi, member_N, positive_roots
+from rcg.tower import sqrt_positive
 
 F = Fraction
 
@@ -476,3 +480,150 @@ def test_bch_refuses_non_square_input():
         bch(wide, wide)
     with pytest.raises(DomainError, match="Y must be a square matrix"):
         zassenhaus(Matrix.tower([[0, 1], [0, 0]]), wide)
+
+
+# ---------------------------------------------------------------------------
+# the facts the unchecked constructions and the one-pass peeling rest on
+
+@pytest.mark.parametrize("function", [exp_nilpotent, log_unipotent])
+@pytest.mark.parametrize(
+    "rows", [[[0, 0, 0], [0, 0, 0]], [[1, 2, 0], [0, 1, 3]]], ids=["zero", "nonzero"]
+)
+def test_exp_and_log_refuse_non_square_input(function, rows):
+    with pytest.raises(DomainError):
+        function(Matrix.tower(rows))
+
+
+def _conjugated_jordan_block(p, p_inv):
+    """p J p^-1 for the Jordan block J of p's size."""
+    n = p.nrows
+    return p * Matrix(p.domain, [[int(j == i + 1) for j in range(n)] for i in range(n)]) * p_inv
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exp_of_a_radical_nilpotent_has_determinant_exactly_one(n):
+    r2, r3 = sqrt_positive(2), sqrt_positive(3)
+    upper = [[1 if i == j else r2 if j == i + 1 else r3 if j > i else 0
+              for j in range(n)] for i in range(n)]
+    lower = [[1 if i == j else r3 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+    g = GroupElement.tower(upper) * GroupElement.tower(lower)
+    x = _conjugated_jordan_block(g.mat, g.inverse().mat)
+    assert any(not s.is_rational() for row in x.data for s in row)
+    assert det(exp_nilpotent(x).mat) == 1
+
+
+def test_exp_of_a_puiseux_nilpotent_has_determinant_exactly_one():
+    # P = I + A with A^2 = 0, so P^-1 = I - A
+    a = Matrix.puiseux([[0, X, 0], [0, 0, 0], [0, X.invert(), 0]])
+    one = Matrix.identity(3, a.domain)
+    x = _conjugated_jordan_block(one + a, one - a)
+    assert det(exp_nilpotent(x).mat) == 1
+
+
+def _closed_theta_sets(n):
+    roots = positive_roots(n)
+    for mask in range(1, 1 << len(roots)):
+        chosen = [r for b, r in enumerate(roots) if mask >> b & 1]
+        if all(a + b is None or a + b in chosen for a in chosen for b in chosen):
+            yield ThetaSet(n, chosen)
+
+
+CLOSED_THETA_SETS = [t for n in (3, 4) for t in _closed_theta_sets(n)]
+_small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def reference_u_theta_factorize(u, theta_set):
+    """Peel every root by the (i, j) entry of a full log of the residual."""
+    n = theta_set.n
+    factors = []
+    residual = u
+    for alpha in reversed(theta_set.descending()):
+        log_r = log_unipotent(residual)
+        comp = Matrix.unit(n, alpha.i, alpha.j, log_r.data[alpha.i][alpha.j], log_r.domain)
+        factors.append((alpha, comp))
+        residual = residual * exp_nilpotent(-comp)
+    return list(reversed(factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CLOSED_THETA_SETS), st.data())
+def test_u_theta_factorize_matches_the_log_peeling_reference(theta_set, data):
+    n = theta_set.n
+    x = Matrix.zeros(n, n)
+    for alpha in theta_set.descending():
+        x = x + E(n, alpha.i, alpha.j, data.draw(_small_fractions))
+    u = exp_nilpotent(x)
+    assert u_theta_factorize(u, theta_set) == reference_u_theta_factorize(u, theta_set)
+
+
+def reference_jacobson_morozov(x):
+    """Jordan chains picked one candidate at a time by a rank test."""
+    domain = x.domain
+    n = x.nrows
+
+    def apply(v):
+        return tuple(_dot(row, v, domain) for row in x.data)
+
+    powers = [Matrix.identity(n, domain)]
+    while any(not s.is_zero() for row in powers[-1].data for s in row):
+        powers.append(powers[-1] * x)
+    q = len(powers) - 1
+    kernels = {0: []}
+    for k in range(1, q + 1):
+        kernels[k] = kernel(powers[k])
+    kernels[q + 1] = kernels[q]
+    chains = []
+    for k in range(q, 0, -1):
+        base = list(kernels[k - 1]) + [apply(w) for w in kernels[k + 1]]
+        base_rank = rank(Matrix(domain, list(zip(*base))))
+        for w in kernels[k]:
+            if rank(Matrix(domain, list(zip(*base, w)))) > base_rank:
+                base.append(w)
+                base_rank += 1
+                chain = [w]
+                for _ in range(k - 1):
+                    chain.append(apply(chain[-1]))
+                chains.append(chain)
+    cols = []
+    blocks = []
+    for chain in sorted(chains, key=len, reverse=True):
+        cols.extend(reversed(chain))
+        blocks.append(len(chain))
+    p = Matrix(domain, cols).transpose()
+    h_rows = [[0] * n for _ in range(n)]
+    y_rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for m in blocks:
+        for t in range(m):
+            h_rows[offset + t][offset + t] = m - 1 - 2 * t
+        for t in range(1, m):
+            y_rows[offset + t][offset + t - 1] = t * (m - t)
+        offset += m
+    p_inv = inverse(p)
+    return p * Matrix(domain, h_rows) * p_inv, p * Matrix(domain, y_rows) * p_inv
+
+
+def _partitions(n, largest):
+    if n == 0:
+        yield ()
+    for m in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - m, m):
+            yield (m,) + rest
+
+
+JORDAN_TYPES = [b for n in (4, 5) for b in _partitions(n, n) if b[0] > 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(JORDAN_TYPES), st.data())
+def test_jacobson_morozov_matches_the_rank_loop_reference(blocks, data):
+    n = sum(blocks)
+    entry = st.integers(-2, 2)
+    upper = [[1 if i == j else data.draw(entry) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    lower = [[1 if i == j else data.draw(entry) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    g = GroupElement.tower(upper) * GroupElement.tower(lower)
+    x = g.mat * jordan_type_matrix(blocks) * g.inverse().mat
+    triple = jacobson_morozov(x)
+    assert (triple.h, triple.y) == reference_jacobson_morozov(x)
