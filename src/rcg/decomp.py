@@ -128,13 +128,19 @@ def _gram_schmidt(m: Matrix):
     return qhat, norm2, u_rows
 
 
-def _a_factor(squares, dom):
-    """The roots r_j = sqrt(squares_j) and a = diag(r), certified by
-    prod(squares) = 1 in the squares' own field: det a = sqrt(prod(squares))
-    as every r_j > 0, so no product of the radicals r_j is formed."""
+def _check_unit_product(squares, dom):
+    """DomainError unless prod(squares) = 1 in the squares' own field: then
+    det diag(sqrt(squares_j)) = 1 as every root is positive, so no product
+    of the radicals is formed."""
     total = reduce(mul, squares)
     if not dom.vanishes(total - dom.one):
         raise DomainError(f"determinant is {dom.sqrt_positive(total)}, not 1")
+
+
+def _a_factor(squares, dom):
+    """The roots r_j = sqrt(squares_j) and a = diag(r), certified by
+    prod(squares) = 1 (_check_unit_product)."""
+    _check_unit_product(squares, dom)
     roots = [dom.sqrt_positive(x) for x in squares]
     return roots, GroupElement._unchecked(Matrix.diagonal(roots, dom))
 
@@ -225,6 +231,13 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     they fall short even of that, for want of working order.  A given order
     must be positive over both fields (DomainError).
 
+    Over the Puiseux field the work stays in g's own field, and the
+    radicals enter as one positive tower constant per column, multiplied
+    in last: sqrt(lam_j) = c_j r_j (each root taken once), the
+    eigenvectors are rho_j w_j (sym_eigen_lift), and column j of k1 is
+    (g w_j / r_j) (rho_j / c_j).  For rational g, r_j, w_j and the dot
+    products of k1 are rational series.
+
     Each factor is certified once, and none by a determinant:
     - a = diag(sqrt(lam_j)) by prod(lam_j) = det(g^T g) = 1, in the field
       of the eigenvalues (the tower, or the series);
@@ -233,14 +246,22 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     - det k1 = det g * det V / det a = 1, det g checked when g entered."""
     dom = g.mat.domain
     working = dom if order is None else PuiseuxDomain(order)  # checks order > 0
+    s = g.mat.transpose() * g.mat
     if dom is not TOWER:
         dom = working
-    s = g.mat.transpose() * g.mat
-    if dom is TOWER:
-        lams, vmat = sym_eigen_tower(s)
-    else:
         lift = sym_eigen_lift(s, dom.order)
-        lams, vmat = lift.eigenvalues, lift.eigenvectors
+        _check_unit_product(lift.eigenvalues, dom)
+        parts = [lam._root_parts(dom.order) for lam in lift.eigenvalues]
+        a = GroupElement._unchecked(Matrix.diagonal([r * c for c, r in parts], dom))
+        w, rhos = lift._frame
+        cols = []
+        for j, (c, r) in enumerate(parts):
+            inv_r = r.invert(dom.order)
+            scale = rhos[j] * c.inv()
+            cols.append([_dot(row, w.col(j), dom) * inv_r * scale for row in g.mat.data])
+        k2 = GroupElement._unchecked(lift.eigenvectors.transpose())
+        return KAKResult(GroupElement._unchecked(Matrix(dom, list(zip(*cols)))), a, k2)
+    lams, vmat = sym_eigen_tower(s)
     a_diag, a = _a_factor(lams, dom)
     inv_a = [dom.invert(x) for x in a_diag]
     n = g.n

@@ -701,9 +701,11 @@ def _orient(v):
 def _special_orthogonal(cols, domain) -> Matrix:
     """The matrix V with these orthogonal columns, the last one negated
     when that is what gives it det(V) > 0.  Scaling a column by a positive
-    number keeps that sign, so the tower caller passes its eigenvectors
-    unnormalised, where they share their eigenvalues' towers.  Over the
-    Puiseux field the columns are unit vectors and the sign is read at X^0
+    number keeps that sign, so both callers pass their columns before the
+    radical of each column's norm enters: the tower caller its
+    unnormalised eigenvectors, in their eigenvalues' towers, and the
+    Puiseux caller its directions (unit vectors times one positive
+    constant per column, in s's own field), whose sign is read at X^0
     (_x0_det_sign)."""
     rows = list(zip(*cols))
     if domain is TOWER:
@@ -716,9 +718,10 @@ def _special_orthogonal(cols, domain) -> Matrix:
 
 
 def _x0_det_sign(rows) -> int:
-    """The sign of det(V) = +-1 for a Puiseux matrix V with these unit rows.
+    """The sign of det(V) for a Puiseux matrix V whose columns are unit
+    vectors times positive constants (det(V) = +-1 for unit columns).
 
-    A unit vector has no entry with a term above X^0, so the X^0
+    Such a column has no entry with a term above X^0, so the X^0
     coefficient of det(V) is det(V0), where V0 is the tower matrix of the
     entries' X^0 coefficients.  IndeterminateSign when an X^0 coefficient
     is unknown or det(V0) is 0."""
@@ -758,14 +761,19 @@ class SymEigenLift:
     at best to certified_order below the scale of s (its largest
     eigenvalue), which for an eigenvalue of smaller scale is certified_order
     less the exponent spread of the eigenvalues; V^T V = I at best to
-    certified_order below X^0, and on some inputs less."""
+    certified_order below X^0, and on some inputs less.
 
-    __slots__ = ("eigenvalues", "eigenvectors", "certified_order")
+    Column j of V is rho_j w_j: the radicals enter through one positive
+    tower constant rho_j per column, and the direction w_j lies in s's own
+    field.  The private _frame holds (W, [rho_j]), W the directions."""
+
+    __slots__ = ("eigenvalues", "eigenvectors", "certified_order", "_frame")
 
     def __init__(self, eigenvalues, eigenvectors, certified_order):
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         self.certified_order = certified_order
+        self._frame = None
 
 
 def _newton_polygon_branches(coeffs):
@@ -852,9 +860,12 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
     eigenvectors are the columns of V, det(V) = +1.
 
     Each eigenvalue lam is refined by Newton's method on the characteristic
-    polynomial.  Its eigenvector is a column of adj(s - lam I), normalised:
-    column j is formed only when the columns before it have no norm of
-    known positive sign."""
+    polynomial.  Its eigenvector is a column v of adj(s - lam I), formed
+    only when the columns before it have no norm of known positive sign,
+    and normalised in two parts: |v|^2 has the root c r (the root parts of
+    puiseux), the direction w = v / r stays in s's field, and the
+    eigenvector is rho w with rho = 1/c.  Orientation and det(V) = +1 are
+    fixed on the directions, as rho > 0 keeps both signs."""
     if s.domain is TOWER:
         raise DomainError("sym_eigen_lift needs a Puiseux matrix; use sym_eigen_tower")
     _check_symmetric(s)
@@ -881,7 +892,7 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
             raise UnsolvableSpectrum("Newton refinement did not converge")
         lams.append(lam.truncate_below(mu - order))
     lams.sort(key=_exact_key, reverse=True)
-    cols = []
+    cols, rhos = [], []
     for lam in lams:
         shifted = _shift_diagonal(s.data, -lam)
         chosen = None
@@ -897,7 +908,12 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
         if chosen is None:
             raise IndeterminateSign("eigenvector not determined at this order")
         v, norm2 = chosen
-        inv_norm = norm2.sqrt_positive(order).invert(order)
-        v = [x * inv_norm for x in v]
-        cols.append(_orient(v))
-    return SymEigenLift(lams, _special_orthogonal(cols, s.domain), order)
+        c, r = norm2._root_parts(order)
+        inv_r = r.invert(order)
+        cols.append(_orient([x * inv_r for x in v]))
+        rhos.append(c.inv())
+    frame = _special_orthogonal(cols, s.domain)
+    vmat = Matrix(s.domain, [[x * rho for x, rho in zip(row, rhos)] for row in frame.data])
+    lift = SymEigenLift(lams, vmat, order)
+    lift._frame = (frame, rhos)
+    return lift

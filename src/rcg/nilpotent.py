@@ -175,12 +175,14 @@ def bch_partial_sum(x: Matrix, y: Matrix, max_degree: int) -> Matrix:
 
 
 def zassenhaus(x: Matrix, y: Matrix) -> list:
-    """Ordered exponents [X, Y, c2, c3, ...] with
-    exp(X + Y) = exp(X) exp(Y) exp(c2) exp(c3) ... exactly.
+    """Ordered exponents [X, Y, c2, c3] or [X, Y, c2, c3, R] with
+    exp(X + Y) = exp(X) exp(Y) exp(c2) exp(c3) exp(R) exactly.
 
     c2 and c3 are the closed-form factors -(1/2)[X,Y] and
-    (1/3)[Y,[X,Y]] + (1/6)[X,[X,Y]]; beyond them the residual unipotent
-    part is peeled off by exact logarithms until it reaches the identity.
+    (1/3)[Y,[X,Y]] + (1/6)[X,[X,Y]].  R = log(residual) is one lumped
+    remainder, present when the residual after c3 is not the identity:
+    it gathers every degree from 4 on, so it is not the homogeneous
+    Zassenhaus term c4, and no c5, c6, ... follow it.
     """
     _require_strictly_upper(x, "X")
     _require_strictly_upper(y, "Y")

@@ -29,7 +29,11 @@ tail of t).  That floor is the result's tail (shifted back by -e0, or by
 e0/2).  Nothing below the tail of t is known, and the power sums of t
 reach no lower either: tail(t^k) = tail(t) + (k - 1) lead(t) is largest at
 k = 1.  No series product is formed; N lattice points cost O(N^2)
-coefficient operations.
+coefficient operations.  The root is formed in two parts (_root_parts):
+c = sqrt(c0), the one tower radical, and r = X^(e0/2) sqrt(1 + t), in a's
+own field; sqrt_positive multiplies c into r's coefficients last, and a
+caller that keeps the two apart (the Puiseux Cartan decomposition) does
+its series work on r and multiplies c in once.
 
 Below-tail rule: a term below a value's tail is unknown, so no operation
 forms one.  A product works out its tail first, max(tail_a + lead_b,
@@ -445,43 +449,52 @@ class PuiseuxScalar:
         exact and the computed finite sum squares back exactly, the result
         is returned Exact.
 
-        With a = c0 X^e0 (1 + t), the series r = sqrt(1 + t) satisfies
-        r^2 = 1 + t; its coefficients are filled from X^0 down to the floor
-        max(-target_order, tail of t), one lattice point at a time."""
-        order = _positive_order(target_order)
-        if self.sign() != 1:
-            raise NotPositive("sqrt_positive needs a positive series")
-        form = self._rational()
-        if form:
-            result = _rational_sqrt(form, self.tail, order)
-            if result.tail is None:
-                return result  # the root of an exact monomial
-        else:
-            e0, c0 = self.lead()
-            root0 = tower_sqrt(c0)
-            if len(self.terms) == 1 and self.tail is None:
-                return PuiseuxScalar.monomial(root0, e0 / 2)
-            den, t, low = self._rest(c0.inv(), order)
-            t = dict(t)
-            r = [_ONE]  # r[j]: the coefficient of X^(-j/den)
-            for j in range(1, 1 - low):
-                # r_j = (t_j - sum of r_i r_(j-i) over 0 < i < j) / 2, each
-                # pair i < j - i formed once and doubled
-                cross = _ZERO
-                for i in range(1, (j + 1) // 2):
-                    if not (r[i].is_zero() or r[j - i].is_zero()):
-                        cross = cross + r[i] * r[j - i]
-                cross = cross + cross
-                if j % 2 == 0 and not r[j // 2].is_zero():
-                    cross = cross + r[j // 2] * r[j // 2]
-                r.append((t.get(-j, _ZERO) - cross) * _HALF)
-            result = _from_lattice(r, den, low, e0 / 2, root0)
-        if self.tail is None:
+        The root is c r, the two parts of _root_parts: c multiplies every
+        coefficient of r, once, at the end."""
+        c, r = self._root_parts(target_order)
+        result = r * c
+        if self.tail is None and result.tail is not None:
             exact = PuiseuxScalar._trusted(result._terms, None)
             exact._form = result._form  # the same terms, known exactly
             if exact * exact == self:
                 return exact
         return result
+
+    def _root_parts(self, target_order):
+        """(c, r) with sqrt_positive(self) = c r, before its exactness test:
+        c the tower root of the leading coefficient, r of leading
+        coefficient 1 in self's own field (a lattice series when self is
+        rational), exact only for an exact monomial.
+
+        With a = c0 X^e0 (1 + t), r = X^(e0/2) sqrt(1 + t) satisfies
+        (r X^(-e0/2))^2 = 1 + t; its coefficients are filled from X^0 down
+        to the floor max(-target_order, tail of t), one lattice point at a
+        time."""
+        order = _positive_order(target_order)
+        if self.sign() != 1:
+            raise NotPositive("sqrt_positive needs a positive series")
+        form = self._rational()
+        if form:
+            return _rational_root_parts(form, self.tail, order)
+        e0, c0 = self.lead()
+        root0 = tower_sqrt(c0)
+        if len(self.terms) == 1 and self.tail is None:
+            return root0, PuiseuxScalar.monomial(1, e0 / 2)
+        den, t, low = self._rest(c0.inv(), order)
+        t = dict(t)
+        r = [_ONE]  # r[j]: the coefficient of X^(-j/den)
+        for j in range(1, 1 - low):
+            # r_j = (t_j - sum of r_i r_(j-i) over 0 < i < j) / 2, each
+            # pair i < j - i formed once and doubled
+            cross = _ZERO
+            for i in range(1, (j + 1) // 2):
+                if not (r[i].is_zero() or r[j - i].is_zero()):
+                    cross = cross + r[i] * r[j - i]
+            cross = cross + cross
+            if j % 2 == 0 and not r[j // 2].is_zero():
+                cross = cross + r[j // 2] * r[j // 2]
+            r.append((t.get(-j, _ZERO) - cross) * _HALF)
+        return root0, _from_lattice(r, den, low, e0 / 2, _ONE)
 
     def _rest(self, c0inv, order):
         """(den, t, low) for self = c0 X^e0 (1 + t): t's terms at or above
@@ -761,15 +774,15 @@ def _rational_invert(form: tuple, tail, order) -> PuiseuxScalar:
     return _lattice_result(scaled, m, d if n0 > 0 else -d, m, lat, low, F(-k0, den))
 
 
-def _rational_sqrt(form: tuple, tail, order) -> PuiseuxScalar:
-    """The positive root of the positive rational a of this form and tail,
-    before the exactness test of sqrt_positive."""
+def _rational_root_parts(form: tuple, tail, order):
+    """_root_parts of the positive rational a of this form and tail: r is
+    a lattice series."""
     den, ks, ns, d = form
     k0, n0 = ks[0], ns[0]
     root0 = tower_sqrt(TowerScalar.from_fraction(F(n0, d)))
     shift = F(k0, 2 * den)
     if len(ks) == 1 and tail is None:
-        return PuiseuxScalar.monomial(root0, shift)
+        return root0, PuiseuxScalar.monomial(1, shift)
     lat, t, low, m = _rational_rest(form, tail, order)
     t = dict(t)
     # R[j] = r_j (4m)^j is an even integer for j > 0:
@@ -791,11 +804,7 @@ def _rational_sqrt(form: tuple, tail, order) -> PuiseuxScalar:
             cross += h * h
         scaled.append((t.get(-j, 0) * lift - cross) // 2)
         lift *= scale
-    if len(root0.coeffs) == 1:
-        q = root0.coeffs[0]
-        return _lattice_result(scaled, scale, q.numerator, q.denominator, lat, low, shift)
-    coeffs = [TowerScalar.from_fraction(F(r, scale ** j)) for j, r in enumerate(scaled)]
-    return _from_lattice(coeffs, lat, low, shift, root0)
+    return root0, _lattice_result(scaled, scale, 1, 1, lat, low, shift)
 
 
 def _lattice_result(scaled, m, p, q, lat, low, shift) -> PuiseuxScalar:

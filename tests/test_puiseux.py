@@ -361,18 +361,19 @@ def _reference_sqrt(a, order):
 
 
 @st.composite
-def positive_series(draw):
+def positive_series(draw, radicals=True):
     """A positive series, exact or with a tail, with exponent denominators
-    1 to 3 and rational or radical coefficients, and a working order q,
-    an integer or a fraction."""
+    1 to 3 and rational or (when radicals) radical coefficients, and a
+    working order q, an integer or a fraction."""
     den = st.sampled_from([1, 2, 3])
     lead = F(draw(st.integers(-6, 6)), draw(den))
     drop = st.builds(F, st.integers(1, 12), den)
     rational = st.fractions(-3, 3, max_denominator=3)
     radical = st.builds(lambda p, r, s: p + r * s, rational, rational,
                         st.sampled_from([_R2, _R3]))
-    coeff = rational | radical
-    top = draw(st.fractions(F(1, 3), 3, max_denominator=3) | st.sampled_from([1 + _R2, _R3]))
+    coeff = rational | radical if radicals else rational
+    top = st.fractions(F(1, 3), 3, max_denominator=3)
+    top = draw(top | st.sampled_from([1 + _R2, _R3]) if radicals else top)
     terms = [(lead, top)] + [(lead - d, draw(coeff)) for d in draw(st.lists(drop, max_size=5))]
     tail = draw(st.none() | st.builds(lambda d: lead - d, drop))
     q = draw(st.integers(1, 8).map(F) | st.builds(F, st.integers(1, 24), den))
@@ -386,6 +387,27 @@ def test_invert_and_sqrt_match_the_power_sums(case, sign):
     # == compares the terms and the tail
     assert (sign * a).invert(q) == _reference_invert(sign * a, q)
     assert a.sqrt_positive(q) == _reference_sqrt(a, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_series(radicals=False) | positive_series())
+def test_root_parts_multiply_to_the_root(case):
+    a, q = case
+    c, r = a._root_parts(q)
+    root = a.sqrt_positive(q)
+    assert c.sign() == 1
+    assert r.lead()[1] == 1
+    if a._rational():
+        assert r._rational()
+    product = r * c
+    if root.tail is None and product.tail is not None:
+        # sqrt_positive's exactness test: the same terms, known exactly
+        assert a.is_exact() and root * root == a
+        product = P(product.terms)
+    _same(product, root)
+    # an exact square stays exact when the order reaches its last term
+    if a.is_exact() and a.terms[0][0] - a.terms[-1][0] <= q:
+        _same((a * a).sqrt_positive(q), a)
 
 
 

@@ -11,6 +11,10 @@ case must print the same strings, so a change to the series arithmetic or
 the eigen lift that claims to keep results must keep them term for term
 and tail for tail.
 
+A second test pins what keeps the Cartan series work fast on this
+rational input: the eigen directions and k1's dot products stay rational,
+and each radical enters as one constant per column.
+
 Regenerate (only when a change is meant to alter results):
 
     PYTHONPATH=src python tests/test_puiseux_golden.py
@@ -23,11 +27,16 @@ from pathlib import Path
 
 import pytest
 
+import rcg.decomp
+import rcg.linalg
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads as W  # noqa: E402
 
 from rcg import GroupElement, PuiseuxScalar, RcgError, bruhat, cartan_kak, iwasawa_kau  # noqa: E402
+from rcg.linalg import sym_eigen_lift  # noqa: E402
+from rcg.tower import TowerScalar  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).with_name("puiseux_golden.json")
 
@@ -88,6 +97,46 @@ def test_puiseux_decomposition_output_is_unchanged(rows_by_name, case):
 
 def test_golden_covers_every_input_and_operation(rows_by_name):
     assert sorted(GOLDEN) == sorted(f"{n}/{v}" for n in rows_by_name for v in OPERATIONS)
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments and result of every call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_panel_kak_keeps_its_series_rational(rows_by_name, monkeypatch):
+    """On rational input the Cartan series work runs in the lattice kernel:
+    the eigen directions w_j are rational series, each radical sits in one
+    positive constant rho_j per column, the eigenvectors are rho_j w_j, and
+    det V = +1 is read from the directions.  cartan_kak's dot products of
+    g with the directions are rational too."""
+    g = GroupElement.puiseux(rows_by_name["sl3-0"])
+    signs = _spy(monkeypatch, rcg.linalg, "_x0_det_sign")
+    lift = sym_eigen_lift(g.mat.transpose() * g.mat, 8)
+    w, rhos = lift._frame
+    assert all(x._rational() for row in w.data for x in row)
+    assert all(isinstance(rho, TowerScalar) and rho.sign() == 1 for rho in rhos)
+    assert any(not rho.is_rational() for rho in rhos)
+    for i, row in enumerate(lift.eigenvectors.data):
+        for j, v in enumerate(row):
+            want = w[i, j] * rhos[j]
+            assert v == want and str(v) == str(want)
+    [((rows,), sign)] = signs
+    assert all(x._rational() for row in rows for x in row)
+    assert sign == rcg.linalg._x0_det_sign(w.data) == 1
+    dots = _spy(monkeypatch, rcg.decomp, "_dot")
+    res = cartan_kak(g, order=8)
+    assert len(dots) == 9 and all(out._rational() for _, out in dots)
+    res.certify(g)
 
 
 if __name__ == "__main__":
