@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import puiseux as puiseux_mod
 from .decomp import bruhat, cartan_kak, iwasawa_kau, iwasawa_uak
 from .errors import DomainError, IndeterminateSign, ParseError, RcgError
-from .kostant import ChamberPoint, _char_gaps
+from .kostant import ChamberPoint, _char_gaps, _slack
 from .linalg import TOWER, Matrix, PuiseuxDomain, ScalarDomain
 from .nilpotent import bch, jacobson_morozov
 from .parsing import parse_matrix
@@ -124,13 +124,7 @@ def _cmd_kostant_check(args, out) -> None:
     b = ChamberPoint(_load_group_element(args.b, args.domain))
     gaps = list(_char_gaps(a, b))
     member = all(gap.sign() >= 0 for gap in gaps)
-    slacks = []
-    for diff in gaps:
-        if args.domain is TOWER:
-            lo, hi = diff.approx(F(1, 10**12))
-            slacks.append(float((lo + hi) / 2))
-        else:
-            slacks.append(str(diff))
+    slacks = [_slack(gap) if args.domain is TOWER else str(gap) for gap in gaps]
     _emit(args, {"member": member, "slacks": slacks}, out)
     if args.format == "text":
         print(f"result: {'inside' if member else 'outside'}", file=out)

@@ -15,8 +15,9 @@ identity that fixes it.
   u is unitriangular.  a_component forms and certifies only a.
 - KAK: a = diag(sqrt(lam_j)) by prod(lam_j) = 1 over the eigenvalues of
   g^T g; det k2 = +1 by the eigenvector frame, and det k1 follows.
-- Bruhat: b1 is unitriangular; w and b2 are checked by their
-  determinants, a signed permutation and a triangular matrix.
+- Bruhat: b1 is unitriangular; det b2 = prod |pivot| > 0 and det w = +-1,
+  so det g = 1 makes both 1.  certify's member_N reads det w = +1 from the
+  permutation's parity and the -1 entries.
 None takes the determinant of a K or A factor, whose columns each carry
 their own radical, or checks itself by a second algorithm.
 
@@ -114,7 +115,7 @@ def _gram_schmidt(m: Matrix):
     qhat = []
     norm2 = []
     inv_norm2 = []
-    u_rows = [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
+    u_rows = [list(row) for row in Matrix.identity(n, dom).data]
     for j in range(n):
         v = list(cols[j])
         for i in range(j):
@@ -316,13 +317,14 @@ def bruhat(g: GroupElement) -> BruhatResult:
     entry, clear upward with row operations (left factor stays unit upper
     triangular) and rightward with column operations (right factor too); the
     leftover one-entry-per-line matrix splits as w times a positive diagonal
-    absorbed into b2.  Bruhat uniqueness fixes the cell; b1 is unitriangular
-    and built unchecked, w and b2 are checked."""
+    absorbed into b2.  Bruhat uniqueness fixes the cell.  All three are
+    built unchecked: b1 is unitriangular, det b2 = prod |pivot| > 0 and
+    det w = +-1, so det b1 w b2 = det g = 1 makes det w = det b2 = 1."""
     dom = g.mat.domain
     n = g.n
     m = [list(row) for row in g.mat.data]
-    linv = [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
-    rinv = [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
+    linv = [list(row) for row in Matrix.identity(n, dom).data]
+    rinv = [list(row) for row in Matrix.identity(n, dom).data]
     used_rows = set()
     pivot_row_of = {}
     for col in range(n):
@@ -364,7 +366,8 @@ def bruhat(g: GroupElement) -> BruhatResult:
         d_diag[col] = val if sgn > 0 else -val
     b1 = GroupElement._unchecked(Matrix(dom, linv))
     b2 = Matrix(dom, [[d_diag[i] * rinv[i][j] for j in range(n)] for i in range(n)])
-    return BruhatResult(b1, GroupElement(Matrix(dom, w_rows)), GroupElement(b2))
+    w = GroupElement._unchecked(Matrix(dom, w_rows))
+    return BruhatResult(b1, w, GroupElement._unchecked(b2))
 
 
 def bruhat_permutation(g: GroupElement) -> dict:

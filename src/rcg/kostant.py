@@ -143,6 +143,13 @@ def _char_gaps(a: ChamberPoint, b: ChamberPoint):
     return (char_value(vec, b) - char_value(vec, a) for vec in kostant_chars(a.n))
 
 
+def _slack(gap) -> float:
+    """A tower gap as a float: the midpoint of a rational enclosure of
+    width 10^-12."""
+    lo, hi = gap.approx(F(1, 10**12))
+    return float((lo + hi) / 2)
+
+
 def kostant_member(a: ChamberPoint, b: ChamberPoint) -> bool:
     """True iff chi_j(a) <= chi_j(b) for every convexity character (exact
     sign tests; works over both scalar fields)."""
@@ -320,11 +327,7 @@ def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSamp
         gaps = list(_char_gaps(proj, b))
         if any(gap.sign() < 0 for gap in gaps):
             raise InternalError("convexity violation")
-        slack = None
-        for gap in gaps:
-            lo, hi = gap.approx(F(1, 10**12))
-            v = float((lo + hi) / 2)
-            slack = v if slack is None else min(slack, v)
+        slack = min(_slack(gap) for gap in gaps)
         min_slack = slack if min_slack is None else min(min_slack, slack)
         max_slack = slack if max_slack is None else max(max_slack, slack)
     return OrbitSampleReport(trials, 0, min_slack, max_slack)

@@ -23,14 +23,14 @@ from .errors import (
     ZeroInput,
     ZeroParameter,
 )
-from .linalg import Matrix, _eliminate, _lower, commutator, inverse, kernel, solve
+from .linalg import Matrix, commutator, inverse, kernel, solve
+from .linalg import _dot, _eliminate, _lift, _lower, _lower_pair
 from .slgroup import (
     GroupElement,
     RootIndex,
     _coroot_basis,
     _require_root_vector,
     b_theta,
-    root_space_decompose,
     theta,
 )
 
@@ -83,14 +83,6 @@ def log_unipotent(u) -> Matrix:
     except NotNilpotent:
         raise NotUnipotent("u - 1 is not nilpotent") from None
     return _series(powers, Matrix.zeros(n, n, mat.domain), lambda k: F((-1) ** (k + 1), k))
-
-
-def _root_group_element(n: int, alpha: RootIndex, t, domain) -> GroupElement:
-    """exp(t E_ij) = I + t E_ij for alpha = e_i - e_j, built unchecked: it
-    is triangular with unit diagonal."""
-    ij = (alpha.i, alpha.j)
-    rows = [[1 if a == b else t if (a, b) == ij else 0 for b in range(n)] for a in range(n)]
-    return GroupElement._unchecked(Matrix(domain, rows))
 
 
 def _require_strictly_upper(x: Matrix, name: str):
@@ -245,70 +237,57 @@ class ThetaSet:
         return sorted(self.roots, key=lambda a: root_order_key(a, self.n), reverse=True)
 
 
-def u_theta_factorize(u: GroupElement, theta_set: ThetaSet) -> list:
-    """Factor u in U_Theta as a product of single-root-group elements in
-    descending root order: u = prod_i exp(X_i) with X_i in the root space of
-    alpha_i and alpha_1 > ... > alpha_k.
+def _root_sweep(u: GroupElement, theta_set: ThetaSet, left) -> tuple:
+    """([(alpha, t)] in ascending root order, L, R) with u = L R, L and R
+    the descending products of x_alpha(t) = I + t E_ij over the roots of
+    Theta in `left` and over the rest.
 
-    Peeling runs in ascending order (the minimal root of a closed set can
-    always be split off from the right, and removing it keeps the set
-    closed); the emitted factors are then read in reverse.  The parameter
-    of the smallest root alpha = e_i - e_j left is the residual's (i, j)
-    entry, which its log shares: the residual lies in U_Theta' for the
-    closed set Theta' of roots left, and a product of root vectors of Theta'
-    reaches (i, j) only if alpha = beta + gamma in Theta', where beta and
-    gamma would sort below alpha."""
+    Roots are taken in ascending order, L and R kept as rows from I (over
+    the rational kernel for rational u).  Root alpha = e_i - e_j gets
+    t = u_ij - (L R)_ij, one dot product, and x_alpha(t) enters its product
+    on the left as the row operation row_i += t row_j.  L and R are
+    unitriangular, so that moves (L R)_ij by exactly t, and any other entry
+    it moves, (a, b) with a <= i and b >= j, is a larger root's.  The
+    parameters are unique, so L R = u certifies membership: NotInUTheta
+    unless every known term of L R - u vanishes, as in certify."""
     n = theta_set.n
     if u.n != n:
         raise DomainError("dimension mismatch")
-    logu = log_unipotent(u)
-    dec = root_space_decompose(logu)
-    if not _is_zero_matrix(dec.zero_part) or any(
-        alpha not in theta_set.roots for alpha in dec.components
-    ):
-        raise NotInUTheta("log(u) is not supported on Theta")
-    domain = u.mat.domain
-    factors = []
-    residual = u
+    dom, u_rows, one = _lower_pair(u.mat, Matrix.identity(n, u.mat.domain))
+    l_rows, r_rows = [list(row) for row in one], [list(row) for row in one]
+    params = []
     for alpha in reversed(theta_set.descending()):
-        t = residual[alpha.i, alpha.j]
-        factors.append((alpha, Matrix.unit(n, alpha.i, alpha.j, t, domain)))
-        residual = residual * _root_group_element(n, alpha, -t, domain)
-    if not _is_zero_matrix(residual.mat - Matrix.identity(n, domain)):
-        raise InternalError("U_Theta factors do not multiply back to u")
-    return list(reversed(factors))
+        i, j = alpha.i, alpha.j
+        t = u_rows[i][j] - _dot(l_rows[i], [row[j] for row in r_rows], dom)
+        params.append((alpha, t))
+        rows = l_rows if alpha in left else r_rows
+        rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
+    l, r = _lift(dom, l_rows), _lift(dom, r_rows)
+    residual = l * r - u.mat
+    if not all(u.mat.domain.vanishes(x) for row in residual.data for x in row):
+        raise NotInUTheta("u is not a product of root-group elements over Theta")
+    return params, l, r
+
+
+def u_theta_factorize(u: GroupElement, theta_set: ThetaSet) -> list:
+    """Factor u in U_Theta as [(alpha_i, X_i)], u = prod_i exp(X_i) with
+    X_i in the root space of alpha_i and alpha_1 > ... > alpha_k: one root
+    sweep with every root on one side (_root_sweep), no logarithm.
+    DomainError for a size mismatch; NotInUTheta if u is not in U_Theta,
+    also when it is not unipotent.  A Puiseux u is accepted to its known
+    terms."""
+    params, _, _ = _root_sweep(u, theta_set, theta_set.roots)
+    n, dom = theta_set.n, u.mat.domain
+    return [(alpha, Matrix.unit(n, alpha.i, alpha.j, t, dom)) for alpha, t in reversed(params)]
 
 
 def psi_split(u: GroupElement, theta_set: ThetaSet, psi) -> tuple:
     """Split u in U_Theta as u = u' u'' with u' a descending product over
-    Theta intersect Psi and u'' one over Theta minus Psi.
-
-    The root parameters are solved in ascending root order: a parameter
-    change at a root only moves log components at strictly larger roots, so
-    one pass settles every coordinate."""
-    n = theta_set.n
-    psi = {a for a in psi}
-    desc = theta_set.descending()
-    left_roots = [a for a in desc if a in psi]
-    right_roots = [a for a in desc if a not in psi]
-    params = {a: u.mat.domain.zero for a in desc}
-
-    def build(roots):
-        prod = GroupElement.identity(n, u.mat.domain)
-        for a in roots:
-            prod = prod * _root_group_element(n, a, params[a], u.mat.domain)
-        return prod
-
-    target_log = log_unipotent(u)
-    for alpha in reversed(desc):  # ascending
-        current = log_unipotent(build(left_roots) * build(right_roots))
-        diff = target_log - current
-        params[alpha] = params[alpha] + diff.data[alpha.i][alpha.j]
-    u1 = build(left_roots)
-    u2 = build(right_roots)
-    if u1 * u2 != u:
-        raise InternalError("psi_split factors do not multiply back to u")
-    return u1, u2
+    Theta intersect Psi and u'' one over Theta minus Psi: one root sweep
+    with Psi on the left (_root_sweep), no logarithm.  Errors and Puiseux
+    input as for u_theta_factorize."""
+    _, l, r = _root_sweep(u, theta_set, set(psi))
+    return GroupElement._unchecked(l), GroupElement._unchecked(r)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,13 @@ class GroupElement:
       computed (see decomp): prod(r_j^2) = 1 for an Iwasawa a, prod(lam_j)
       = 1 for a Cartan a, det(qhat) * prod(1/r_j) = 1 for an Iwasawa k, the
       eigenvector frame and det g for the Cartan k's, a unit diagonal for u
-      and b1;
+      and b1, and det g = det w det b2 with det w = +-1 and det b2 > 0 for
+      the Bruhat w and b2;
     - the rotations of the Kostant orbit sampler, by c^2 + s^2 = 1;
     - exp of a nilpotent x (see nilpotent), by det exp(x) = e^(tr x) = 1
-      once x^n = 0 has been checked, and the root-group elements I + t E_ij,
-      i != j, by their unit diagonal."""
+      once x^n = 0 has been checked, and the products of root-group
+      elements I + t E_ij, i < j, that factor U_Theta, by their unit
+      diagonal."""
 
     __slots__ = ("mat", "n")
 
@@ -196,14 +198,22 @@ def member_M(g: GroupElement) -> bool:
 
 
 def member_N(g: GroupElement) -> bool:
-    """One nonzero entry in each row and each column, and it is +-1."""
+    """One nonzero entry in each row and each column, it is +-1, and
+    det g = +1: the permutation's parity plus the number of -1 entries is
+    even, so no determinant is formed.  Each such entry has a known term,
+    so its sign is known."""
     dom, d, n = g.mat.domain, g.mat.data, g.n
     support = [(i, j) for i in range(n) for j in range(n) if not _is_zero(g.mat, i, j)]
-    return (
+    cols = [j for _, j in support]
+    if not (
         [i for i, _ in support] == list(range(n))
-        and sorted(j for _, j in support) == list(range(n))
+        and sorted(cols) == list(range(n))
         and all(dom.vanishes(d[i][j] * d[i][j] - dom.one) for i, j in support)
-    )
+    ):
+        return False
+    inversions = sum(cols[a] > cols[b] for a in range(n) for b in range(a + 1, n))
+    negatives = sum(dom.sign(d[i][j]) < 0 for i, j in support)
+    return (inversions + negatives) % 2 == 0
 
 
 def member_B(g: GroupElement) -> bool:

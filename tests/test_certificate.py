@@ -42,7 +42,7 @@ from rcg.nilpotent import (
     zassenhaus,
 )
 from rcg.puiseux import PuiseuxScalar, X
-from rcg.slgroup import GroupElement, member_K
+from rcg.slgroup import GroupElement, member_K, member_N
 from rcg.tower import TowerScalar, sqrt_positive
 
 F = Fraction
@@ -168,10 +168,10 @@ def test_chamber_projection_computes_no_determinant(monkeypatch):
 
 
 def test_decompositions_take_no_determinant_their_construction_fixes(monkeypatch):
-    """Only factors whose determinant the construction does not fix are
-    checked by a determinant: w and b2 for Bruhat (b1 is unitriangular).
-    KAK takes none (a by prod(lam_j) = 1; k1 and k2 follow from det g and
-    the eigenvectors), and certify takes none."""
+    """Neither takes a determinant.  Bruhat: b1 is unitriangular, det b2 =
+    prod |pivot| > 0 and det w = +-1, so det g = 1 fixes both, and certify
+    reads det w from the permutation.  KAK: a by prod(lam_j) = 1; k1 and
+    k2 follow from det g and the eigenvectors."""
     g = GroupElement.puiseux([[X, 1, 0], [0, 1, 0], [0, 1, X.invert()]])
     calls = []
     det = rcg.slgroup.det
@@ -181,10 +181,31 @@ def test_decompositions_take_no_determinant_their_construction_fixes(monkeypatch
         return det(m)
 
     monkeypatch.setattr(rcg.slgroup, "det", counting_det)
-    for decompose, taken in ((cartan_kak, 0), (bruhat, 2)):
+    for decompose, taken in ((cartan_kak, 0), (bruhat, 0)):
         calls.clear()
         decompose(g).certify(g)
         assert len(calls) == taken, decompose.__name__
+
+
+def test_member_n_refuses_a_signed_permutation_of_determinant_minus_one(monkeypatch):
+    """det w = -1 is read from the permutation's parity and the -1 entries,
+    with no determinant; that keeps certify refusing a Bruhat w built
+    unchecked with the wrong sign."""
+    g = GroupElement.tower([[0, 1], [-1, 0]])
+
+    def refuse(_):
+        raise AssertionError("determinant computed for a signed permutation")
+
+    monkeypatch.setattr(rcg.slgroup, "det", refuse)
+    monkeypatch.setattr(rcg.linalg, "det", refuse)
+    for domain in (TOWER, PUISEUX):
+        swap = GroupElement._unchecked(Matrix(domain, [[0, 1], [1, 0]]))
+        assert not member_N(swap)
+        assert member_N(GroupElement._unchecked(Matrix(domain, [[0, -1], [1, 0]])))
+        assert not member_N(GroupElement._unchecked(Matrix.diagonal([-1, 1, 1], domain)))
+    wrong = replace(bruhat(g), w=GroupElement._unchecked(Matrix.tower([[0, 1], [1, 0]])))
+    with pytest.raises(InternalError):
+        wrong.certify(g)
 
 
 def test_a_refused_element_computes_its_determinant_once(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcg.nilpotent
 from rcg.errors import (
     DomainError,
     NotInUTheta,
@@ -31,9 +32,9 @@ from rcg.nilpotent import (
     u_theta_factorize,
     zassenhaus,
 )
-from rcg.puiseux import X
+from rcg.puiseux import PuiseuxScalar, X
 from rcg.slgroup import GroupElement, RootIndex, chi, member_N, positive_roots
-from rcg.tower import sqrt_positive
+from rcg.tower import TowerScalar, sqrt_positive
 
 F = Fraction
 
@@ -545,15 +546,112 @@ def reference_u_theta_factorize(u, theta_set):
     return list(reversed(factors))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(CLOSED_THETA_SETS), st.data())
-def test_u_theta_factorize_matches_the_log_peeling_reference(theta_set, data):
+def reference_psi_split(u, theta_set, psi):
+    """Solve the root parameters in ascending order by a log fixed point: a
+    parameter change at a root only moves log components at larger roots."""
+    n, dom = theta_set.n, u.mat.domain
+    desc = theta_set.descending()
+    params = {a: dom.zero for a in desc}
+
+    def build(roots):
+        prod = GroupElement.identity(n, dom)
+        for a in roots:
+            prod = prod * exp_nilpotent(Matrix.unit(n, a.i, a.j, params[a], dom))
+        return prod
+
+    left = [a for a in desc if a in psi]
+    right = [a for a in desc if a not in psi]
+    target_log = log_unipotent(u)
+    for alpha in reversed(desc):
+        diff = target_log - log_unipotent(build(left) * build(right))
+        params[alpha] = params[alpha] + diff.data[alpha.i][alpha.j]
+    return build(left), build(right)
+
+
+def _draw_u_theta_element(theta_set, data):
     n = theta_set.n
     x = Matrix.zeros(n, n)
     for alpha in theta_set.descending():
         x = x + E(n, alpha.i, alpha.j, data.draw(_small_fractions))
-    u = exp_nilpotent(x)
+    return exp_nilpotent(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CLOSED_THETA_SETS), st.data())
+def test_u_theta_factorize_matches_the_log_peeling_reference(theta_set, data):
+    u = _draw_u_theta_element(theta_set, data)
     assert u_theta_factorize(u, theta_set) == reference_u_theta_factorize(u, theta_set)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CLOSED_THETA_SETS), st.data())
+def test_psi_split_matches_the_log_fixed_point_reference(theta_set, data):
+    u = _draw_u_theta_element(theta_set, data)
+    psi = data.draw(st.sets(st.sampled_from(positive_roots(theta_set.n))))
+    assert psi_split(u, theta_set, psi) == reference_psi_split(u, theta_set, psi)
+
+
+def test_both_factorisations_match_their_references_on_an_exact_puiseux_element():
+    u = exp_nilpotent(Matrix.puiseux([[0, X, 3], [0, 0, 2 * X.invert() - 1], [0, 0, 0]]))
+    theta = ThetaSet.all_positive(3)
+    factors = u_theta_factorize(u, theta)
+    assert factors == reference_u_theta_factorize(u, theta)
+    assert all(x.tail is None for _, comp in factors for row in comp.data for x in row)
+    for psi in ({RootIndex(0, 1)}, {RootIndex(1, 2)}, {RootIndex(0, 2), RootIndex(1, 2)}):
+        assert psi_split(u, theta, psi) == reference_psi_split(u, theta, psi)
+
+
+def test_both_factorisations_accept_a_truncated_puiseux_element_to_its_known_terms():
+    tail = PuiseuxScalar((), -3)  # O(X^-3)
+    u = GroupElement.puiseux([[1, X + tail, 2], [0, 1 + tail, 1], [0, 0, 1]])
+    theta = ThetaSet.all_positive(3)
+    by_root = dict(u_theta_factorize(u, theta))
+    assert str(by_root[RootIndex(0, 2)][0, 2]) == str(2 - X + tail)
+    u1, u2 = psi_split(u, theta, {RootIndex(0, 1)})
+    residual = (u1 * u2).mat - u.mat
+    assert all(u.mat.domain.vanishes(x) for row in residual.data for x in row)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 1, 1], [0, 1, 1], [0, 0, 1]],  # an entry at e2 - e3, outside Theta
+        [[1, 1, 0], [0, 1, 0], [0, 2, 1]],  # an entry below the diagonal
+        [[2, 1, 0], [0, 1, 0], [0, 0, F(1, 2)]],  # not unipotent
+    ],
+    ids=["outside-theta", "lower-triangular", "diagonal"],
+)
+def test_both_factorisations_refuse_an_element_outside_u_theta(rows):
+    theta = ThetaSet(3, [RootIndex(0, 1), RootIndex(0, 2)])
+    u = GroupElement.tower(rows)
+    with pytest.raises(NotInUTheta):
+        u_theta_factorize(u, theta)
+    with pytest.raises(NotInUTheta):
+        psi_split(u, theta, {RootIndex(0, 1)})
+
+
+def test_both_factorisations_take_no_log_and_no_exp(monkeypatch):
+    """The root sweep reads entries and makes row operations; on rational
+    input it runs over the rational kernel, with no tower product."""
+    rng = random.Random(139)
+    u = exp_nilpotent(rand_upper(rng, 5))
+    theta = ThetaSet.all_positive(5)
+    products, mul = [], TowerScalar.__mul__
+
+    def refuse(_):
+        raise AssertionError("the root sweep took a log or an exp")
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(rcg.nilpotent, "log_unipotent", refuse)
+    monkeypatch.setattr(rcg.nilpotent, "exp_nilpotent", refuse)
+    monkeypatch.setattr(TowerScalar, "__mul__", counting_mul)
+    assert len(u_theta_factorize(u, theta)) == 10
+    u1, u2 = psi_split(u, theta, [a for a in theta.roots if a.i == 0])
+    assert products == []
+    assert u1 * u2 == u
 
 
 def reference_jacobson_morozov(x):
