@@ -15,9 +15,10 @@ identity that fixes it.
   u is unitriangular.  a_component forms and certifies only a.
 - KAK: a = diag(sqrt(lam_j)) by prod(lam_j) = 1 over the eigenvalues of
   g^T g; det k2 = +1 by the eigenvector frame, and det k1 follows.
-- Bruhat: b1 is unitriangular; det b2 = prod |pivot| > 0 and det w = +-1,
-  so det g = 1 makes both 1.  certify's member_N reads det w = +1 from the
-  permutation's parity and the -1 entries.
+- Bruhat: one row pass; b1 holds its multipliers (unitriangular), and w
+  and b2 are read off its reduced rows.  det b2 = prod |pivot| > 0 and
+  det w = +-1, so det g = 1 makes both 1.  certify's member_N reads
+  det w = +1 off the signed permutation's shape, not a determinant.
 None takes the determinant of a K or A factor, whose columns each carry
 their own radical, or checks itself by a second algorithm.
 
@@ -44,7 +45,16 @@ from .linalg import (
     sym_eigen_lift,
     sym_eigen_tower,
 )
-from .slgroup import GroupElement, member_A, member_B, member_K, member_N, member_U
+from .slgroup import (
+    GroupElement,
+    _signed_permutation,
+    _signed_permutation_det,
+    member_A,
+    member_B,
+    member_K,
+    member_N,
+    member_U,
+)
 
 
 class _Factorisation:
@@ -294,13 +304,8 @@ def kak_uniqueness_check(g: GroupElement, res1: KAKResult, res2: KAKResult) -> G
             raise NoRelatingElement("no signed permutation relates the two A-parts")
         free.remove(i)
         perm.append(i)
-    rows = [[0] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        rows[i][j] = 1
-    inversions = sum(perm[j] > perm[k] for j in range(n) for k in range(j + 1, n))
-    if inversions % 2:
-        rows[perm[0]][0] = -1
-    w = GroupElement._unchecked(Matrix(a1.mat.domain, rows))
+    signs = [_signed_permutation_det(perm, [1] * n)] + [1] * (n - 1)
+    w = GroupElement._unchecked(_signed_permutation(perm, signs, a1.mat.domain))
     if w * a1 * w.transpose() != a2:
         raise NoRelatingElement("no signed permutation relates the two A-parts")
     return w
@@ -313,61 +318,43 @@ def bruhat(g: GroupElement) -> BruhatResult:
     """g = b1 w b2 with b1, b2 upper triangular in SL_n and w the signed
     permutation singled out by positive pivot scales.
 
-    Two-sided elimination: per column, pivot on the lowest provably nonzero
-    entry, clear upward with row operations (left factor stays unit upper
-    triangular) and rightward with column operations (right factor too); the
-    leftover one-entry-per-line matrix splits as w times a positive diagonal
-    absorbed into b2.  Bruhat uniqueness fixes the cell.  All three are
-    built unchecked: b1 is unitriangular, det b2 = prod |pivot| > 0 and
-    det w = +-1, so det b1 w b2 = det g = 1 makes det w = det b2 = 1."""
+    One row pass: per column c, pivot on the lowest provably nonzero unused
+    row p(c) and clear upward among the unused rows.  Later operations add
+    only multiples of later pivot rows, which are zero in column c, so row
+    p(c) of the reduced matrix is zero left of column c, and the three
+    factors are read off the pass:
+    - b1 is I with each multiplier written at (row, pivot row);
+    - w has the sign s of each pivot at (p(c), c);
+    - row c of b2 is s times row p(c), with exact zeros left of column c.
+    Bruhat uniqueness fixes the cell.  All three are built unchecked: b1 is
+    unitriangular, det b2 = prod |pivot| > 0 and det w = +-1, so
+    det b1 w b2 = det g = 1 makes det w = det b2 = 1."""
     dom = g.mat.domain
     n = g.n
     m = [list(row) for row in g.mat.data]
-    linv = [list(row) for row in Matrix.identity(n, dom).data]
-    rinv = [list(row) for row in Matrix.identity(n, dom).data]
-    used_rows = set()
-    pivot_row_of = {}
+    b1 = [list(row) for row in Matrix.identity(n, dom).data]
+    pivot_rows = []
     for col in range(n):
-        pivot = None
-        for i in range(n - 1, -1, -1):
-            if i in used_rows:
-                continue
-            if not dom.is_zero(m[i][col]):
-                pivot = i
-                break
+        unused = [i for i in range(n) if i not in pivot_rows]
+        pivot = next((i for i in reversed(unused) if not dom.is_zero(m[i][col])), None)
         if pivot is None:
             raise IndeterminateSign("singular column during Bruhat elimination")
-        used_rows.add(pivot)
-        pivot_row_of[col] = pivot
+        pivot_rows.append(pivot)
         inv_p = dom.invert(m[pivot][col])
-        for i in range(pivot):
-            if i in used_rows or dom.is_zero(m[i][col]):
-                continue
-            c = m[i][col] * inv_p
-            m[i] = [x - c * y for x, y in zip(m[i], m[pivot])]
-            # undoing row_i -= c * row_pivot multiplies L^{-1} by (I + c E_{i,pivot})
-            for t in range(n):
-                linv[t][pivot] = linv[t][pivot] + linv[t][i] * c
-        for j in range(col + 1, n):
-            if dom.is_zero(m[pivot][j]):
-                continue
-            c = m[pivot][j] * inv_p
-            for i in range(n):
-                m[i][j] = m[i][j] - m[i][col] * c
-            for t in range(n):
-                rinv[col][t] = rinv[col][t] + c * rinv[j][t]
-    w_rows = [[dom.zero] * n for _ in range(n)]
-    d_diag = [dom.zero] * n
-    for col in range(n):
-        i = pivot_row_of[col]
-        val = m[i][col]
-        sgn = dom.sign(val)
-        w_rows[i][col] = dom.one if sgn > 0 else -dom.one
-        d_diag[col] = val if sgn > 0 else -val
-    b1 = GroupElement._unchecked(Matrix(dom, linv))
-    b2 = Matrix(dom, [[d_diag[i] * rinv[i][j] for j in range(n)] for i in range(n)])
-    w = GroupElement._unchecked(Matrix(dom, w_rows))
-    return BruhatResult(b1, w, GroupElement._unchecked(b2))
+        for i in unused:
+            if i < pivot and not dom.is_zero(m[i][col]):
+                b1[i][pivot] = c = m[i][col] * inv_p
+                m[i] = [x - c * y for x, y in zip(m[i], m[pivot])]
+    signs = [dom.sign(m[p][col]) for col, p in enumerate(pivot_rows)]
+    b2 = [
+        [dom.zero] * col + [x if s > 0 else -x for x in m[p][col:]]
+        for col, (p, s) in enumerate(zip(pivot_rows, signs))
+    ]
+    return BruhatResult(
+        GroupElement._unchecked(Matrix(dom, b1)),
+        GroupElement._unchecked(_signed_permutation(pivot_rows, signs, dom)),
+        GroupElement._unchecked(Matrix(dom, b2)),
+    )
 
 
 def bruhat_permutation(g: GroupElement) -> dict:

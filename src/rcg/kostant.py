@@ -29,7 +29,7 @@ from itertools import permutations
 
 from .decomp import a_component
 from .errors import DomainError, InternalError, PrecisionExhausted
-from .linalg import TOWER, Matrix
+from .linalg import TOWER, Matrix, _exact_key
 from .rootsys import _primitive, build, cone_data
 from .slgroup import GroupElement, member_A
 
@@ -81,17 +81,11 @@ def chamber_projection(a: GroupElement) -> ChamberPoint:
     """The A+ representative of an A-element: diagonal sorted descending
     (the spherical Weyl group acts by permuting diagonal entries).  A
     permuted diagonal keeps a's determinant and positive entries, and the
-    sort has decided every step's sign, so none is tested again."""
+    exact sort key has decided every step's sign, so none is tested again."""
     if not member_A(a):
         raise DomainError("chamber projection needs an A-element")
-    dom = a.mat.domain
-    diag = [a.mat.data[i][i] for i in range(a.n)]
-    for i in range(1, len(diag)):  # insertion sort with exact sign tests
-        j = i
-        while j > 0 and dom.sign(diag[j - 1] - diag[j]) < 0:
-            diag[j - 1], diag[j] = diag[j], diag[j - 1]
-            j -= 1
-    return ChamberPoint._unchecked(GroupElement._unchecked(Matrix.diagonal(diag, dom)))
+    diag = sorted((a[i, i] for i in range(a.n)), key=_exact_key, reverse=True)
+    return ChamberPoint._unchecked(GroupElement._unchecked(Matrix.diagonal(diag, a.mat.domain)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,7 @@ def _rotation(n, i, j, t: Fraction) -> GroupElement:
     tan-half parameter t; c^2 + s^2 = 1 makes its determinant 1."""
     c = (1 - t * t) / (1 + t * t)
     s = 2 * t / (1 + t * t)
-    rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+    rows = [list(row) for row in Matrix.identity(n).data]
     rows[i][i] = c
     rows[j][j] = c
     rows[i][j] = -s

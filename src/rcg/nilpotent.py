@@ -413,20 +413,20 @@ class RootSL2:
         self.alpha = alpha
         self.n = n
 
-    def _embed(self, m: Matrix, base) -> Matrix:
-        """The 2x2 matrix m in rows and columns (i, j), base on the rest of
-        the diagonal and zero elsewhere."""
+    def _embed(self, m: Matrix, rest: Matrix) -> Matrix:
+        """rest with the 2x2 matrix m written into rows and columns (i, j)."""
         i, j = self.alpha.i, self.alpha.j
-        rows = [[base if a == b else 0 for b in range(self.n)] for a in range(self.n)]
+        rows = [list(row) for row in rest.data]
         rows[i][i], rows[i][j] = m.data[0]
         rows[j][i], rows[j][j] = m.data[1]
         return Matrix(m.domain, rows)
 
     def group(self, h) -> GroupElement:
-        return GroupElement(self._embed(h.mat if isinstance(h, GroupElement) else h, 1))
+        m = h.mat if isinstance(h, GroupElement) else h
+        return GroupElement(self._embed(m, Matrix.identity(self.n, m.domain)))
 
     def lie(self, m: Matrix) -> Matrix:
-        return self._embed(m, 0)
+        return self._embed(m, Matrix.zeros(self.n, self.n, m.domain))
 
     def extract(self, g: GroupElement) -> Matrix:
         """The 2x2 matrix h with group(h) = g; NotInImage if g is not in

@@ -76,7 +76,7 @@ from .errors import (
     NotPositive,
     UnsupportedExponent,
 )
-from .tower import TowerScalar, sqrt_positive as tower_sqrt
+from .tower import TowerScalar, _fmt_fraction, _join_signed, sqrt_positive as tower_sqrt
 
 F = Fraction
 
@@ -532,10 +532,7 @@ class PuiseuxScalar:
 
     def __str__(self):
         def fmt_exp(e: Fraction) -> str:
-            if e == 1:
-                return "X"
-            return f"X^({e.numerator}/{e.denominator})" if e.denominator != 1 \
-                else f"X^({e.numerator})"
+            return "X" if e == 1 else f"X^({_fmt_fraction(e)})"
 
         parts = []
         for e, c in self.terms:
@@ -558,17 +555,9 @@ class PuiseuxScalar:
                 parts.append(("-", f"{cs[1:]}*{fmt_exp(e)}"))
             else:
                 parts.append(("+", f"{cs}*{fmt_exp(e)}"))
-        if not parts:
-            out = "0"
-        else:
-            sgn, body = parts[0]
-            out = ("-" if sgn == "-" else "") + body
-            for sgn, body in parts[1:]:
-                out += f" {sgn} {body}"
+        out = _join_signed(parts)
         if self.tail is not None:
-            e = self.tail
-            es = f"{e.numerator}/{e.denominator}" if e.denominator != 1 else str(e.numerator)
-            out += f" + O(X^({es}))"
+            out += f" + O(X^({_fmt_fraction(self.tail)}))"
         return out
 
     def __repr__(self):

@@ -47,6 +47,8 @@ class GroupElement:
       and b1, and det g = det w det b2 with det w = +-1 and det b2 > 0 for
       the Bruhat w and b2;
     - the rotations of the Kostant orbit sampler, by c^2 + s^2 = 1;
+    - the elements of N and M listed by n_elements and m_elements, by
+      _signed_permutation_det, which reads det off their shape;
     - exp of a nilpotent x (see nilpotent), by det exp(x) = e^(tr x) = 1
       once x^n = 0 has been checked, and the products of root-group
       elements I + t E_ij, i < j, that factor U_Theta, by their unit
@@ -199,9 +201,9 @@ def member_M(g: GroupElement) -> bool:
 
 def member_N(g: GroupElement) -> bool:
     """One nonzero entry in each row and each column, it is +-1, and
-    det g = +1: the permutation's parity plus the number of -1 entries is
-    even, so no determinant is formed.  Each such entry has a known term,
-    so its sign is known."""
+    det g = +1, read from the permutation and the signs of those entries
+    (_signed_permutation_det), so no determinant is formed.  Each such
+    entry has a known term, so its sign is known."""
     dom, d, n = g.mat.domain, g.mat.data, g.n
     support = [(i, j) for i in range(n) for j in range(n) if not _is_zero(g.mat, i, j)]
     cols = [j for _, j in support]
@@ -211,9 +213,7 @@ def member_N(g: GroupElement) -> bool:
         and all(dom.vanishes(d[i][j] * d[i][j] - dom.one) for i, j in support)
     ):
         return False
-    inversions = sum(cols[a] > cols[b] for a in range(n) for b in range(a + 1, n))
-    negatives = sum(dom.sign(d[i][j]) < 0 for i, j in support)
-    return (inversions + negatives) % 2 == 0
+    return _signed_permutation_det(cols, [dom.sign(d[i][j]) for i, j in support]) == 1
 
 
 def member_B(g: GroupElement) -> bool:
@@ -361,31 +361,48 @@ def weyl_reps_sl3():
     return [GroupElement.tower(m) for m in mats]
 
 
+def _signed_permutation(rows_of, signs, domain) -> Matrix:
+    """The signed permutation matrix with signs[c] at (rows_of[c], c) and
+    zero elsewhere: the shape of N (an element of N when
+    _signed_permutation_det is +1)."""
+    n = len(rows_of)
+    rows = [[0] * n for _ in range(n)]
+    for col, (row, s) in enumerate(zip(rows_of, signs)):
+        rows[row][col] = s
+    return Matrix(domain, rows)
+
+
+def _signed_permutation_det(rows_of, signs) -> int:
+    """det of _signed_permutation(rows_of, signs, ...), read off its shape:
+    (-1)^(inversions of rows_of + number of negative signs).  A matrix and
+    its transpose share it, so a map row -> column serves as well."""
+    n = len(rows_of)
+    inversions = sum(rows_of[a] > rows_of[b] for a in range(n) for b in range(a + 1, n))
+    negatives = sum(s < 0 for s in signs)
+    return -1 if (inversions + negatives) % 2 else 1
+
+
 def n_elements(n: int):
     """All of N for SL_n: signed permutation matrices with determinant 1."""
     from itertools import permutations, product
 
-    out = []
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            rows = [[0] * n for _ in range(n)]
-            for col, row in enumerate(perm):
-                rows[row][col] = signs[col]
-            m = Matrix.tower(rows)
-            if det(m) == 1:
-                out.append(GroupElement(m))
-    return out
+    return [
+        GroupElement._unchecked(_signed_permutation(perm, signs, TOWER))
+        for perm in permutations(range(n))
+        for signs in product((1, -1), repeat=n)
+        if _signed_permutation_det(perm, signs) == 1
+    ]
 
 
 def m_elements(n: int):
+    """All of M for SL_n: diagonal matrices with +-1 entries and determinant 1."""
     from itertools import product
 
-    out = []
-    for signs in product((1, -1), repeat=n):
-        m = Matrix.diagonal(signs)
-        if det(m) == 1:
-            out.append(GroupElement(m))
-    return out
+    return [
+        GroupElement._unchecked(_signed_permutation(range(n), signs, TOWER))
+        for signs in product((1, -1), repeat=n)
+        if _signed_permutation_det(range(n), signs) == 1
+    ]
 
 
 def n_mod_m_classes(n_list):

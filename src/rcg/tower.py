@@ -534,6 +534,11 @@ def _format(rads: tuple, depth: int, coeffs: tuple) -> str:
         else:
             body = "*".join([_fmt_fraction(abs(q))] + radicals)
         terms.append(("-" if q < 0 else "+", body))
+    return _join_signed(terms)
+
+
+def _join_signed(terms) -> str:
+    """(sign, body) pairs as one sum: "a - b + c", "-a + b"; "0" if empty."""
     if not terms:
         return "0"
     first_sign, first_body = terms[0]

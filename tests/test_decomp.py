@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcg.decomp
 import rcg.puiseux
@@ -16,18 +20,20 @@ from rcg.decomp import (
     iwasawa_uak,
     kak_uniqueness_check,
 )
-from rcg.errors import DomainError, NoRelatingElement, RepeatedEigenvalue
+from rcg.errors import DomainError, IndeterminateSign, NoRelatingElement, RepeatedEigenvalue
 from rcg.linalg import TOWER, Matrix, PuiseuxDomain, det
 from rcg.puiseux import PuiseuxScalar, X
 from rcg.slgroup import (
     GroupElement,
+    _signed_permutation,
+    _signed_permutation_det,
     member_A,
     member_B,
     member_K,
     member_N,
     member_U,
 )
-from rcg.tower import sqrt_positive
+from rcg.tower import TowerScalar, sqrt_positive
 
 F = Fraction
 mono = PuiseuxScalar.monomial
@@ -557,3 +563,102 @@ def test_bruhat_cells_disjoint():
             g = b1 * w * b2
             assert bruhat_permutation(g) == target
             assert bruhat(g).w == w
+
+
+def reference_bruhat(g):
+    """Bruhat by two-sided elimination, the reference for bruhat's one row
+    pass: row operations, then a column pass with its own accumulator rinv,
+    and an n-term update of linv after every row operation.  Returns the
+    matrices (b1, w, b2)."""
+    dom = g.mat.domain
+    n = g.n
+    m = [list(row) for row in g.mat.data]
+    linv = [list(row) for row in Matrix.identity(n, dom).data]
+    rinv = [list(row) for row in Matrix.identity(n, dom).data]
+    used_rows = set()
+    pivot_row_of = {}
+    for col in range(n):
+        pivot = None
+        for i in range(n - 1, -1, -1):
+            if i in used_rows:
+                continue
+            if not dom.is_zero(m[i][col]):
+                pivot = i
+                break
+        if pivot is None:
+            raise IndeterminateSign("singular column during Bruhat elimination")
+        used_rows.add(pivot)
+        pivot_row_of[col] = pivot
+        inv_p = dom.invert(m[pivot][col])
+        for i in range(pivot):
+            if i in used_rows or dom.is_zero(m[i][col]):
+                continue
+            c = m[i][col] * inv_p
+            m[i] = [x - c * y for x, y in zip(m[i], m[pivot])]
+            for t in range(n):
+                linv[t][pivot] = linv[t][pivot] + linv[t][i] * c
+        for j in range(col + 1, n):
+            if dom.is_zero(m[pivot][j]):
+                continue
+            c = m[pivot][j] * inv_p
+            for i in range(n):
+                m[i][j] = m[i][j] - m[i][col] * c
+            for t in range(n):
+                rinv[col][t] = rinv[col][t] + c * rinv[j][t]
+    w_rows = [[dom.zero] * n for _ in range(n)]
+    d_diag = [dom.zero] * n
+    for col in range(n):
+        i = pivot_row_of[col]
+        val = m[i][col]
+        sgn = dom.sign(val)
+        w_rows[i][col] = dom.one if sgn > 0 else -dom.one
+        d_diag[col] = val if sgn > 0 else -val
+    b2 = [[d_diag[i] * rinv[i][j] for j in range(n)] for i in range(n)]
+    return Matrix(dom, linv), Matrix(dom, w_rows), Matrix(dom, b2)
+
+
+def assert_matches_reference(g):
+    res = bruhat(g)
+    printed = [str(res.b1), str(res.w), str(res.b2)]
+    assert printed == [str(f) for f in reference_bruhat(g)]
+    res.certify(g)
+
+
+@st.composite
+def rational_bruhat_inputs(draw):
+    """u1 w d u2 in SL_n, n <= 5: unit upper u's with some zero entries, a
+    signed permutation w of det 1 (its cell) and a diagonal d of det 1."""
+    n = draw(st.integers(2, 5))
+    entries = st.sampled_from([F(0), F(0), F(1), F(-2), F(3, 2), F(-1, 3)])
+
+    def unit_upper():
+        return Matrix.tower(
+            [[1 if i == j else (draw(entries) if i < j else 0) for j in range(n)]
+             for i in range(n)]
+        )
+
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    signs[0] *= _signed_permutation_det(perm, signs)
+    d = draw(st.lists(st.sampled_from([F(2), F(-1, 3), F(5, 4), F(-1)]),
+                      min_size=n - 1, max_size=n - 1))
+    d.append(1 / reduce(mul, d, F(1)))
+    w = _signed_permutation(perm, signs, TOWER)
+    g = unit_upper() * w * Matrix.diagonal(d) * unit_upper()
+    return GroupElement(g)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rational_bruhat_inputs())
+def test_bruhat_matches_two_sided_elimination(g):
+    """The factors read off the row pass print the same as those of the
+    two-sided elimination, factor for factor."""
+    assert_matches_reference(g)
+
+
+def test_bruhat_matches_two_sided_elimination_over_radicals():
+    s = 1 + sqrt_positive(TowerScalar.coerce(2))
+    upper = Matrix.tower([[s, 1, 2 * s], [0, s.inv(), 3], [0, 0, 1]])
+    cycle = Matrix.tower([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    lower = Matrix.tower([[1, 0, 0], [s, 1, 0], [F(1, 2), s.inv(), 1]])
+    assert_matches_reference(GroupElement(upper * cycle * lower))

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
+import rcg.slgroup
+
 from rcg.errors import DomainError
-from rcg.linalg import Matrix, det
+from rcg.linalg import PUISEUX, TOWER, Matrix, det
 from rcg.slgroup import (
     GroupElement,
+    _signed_permutation,
+    _signed_permutation_det,
     RootIndex,
     b_theta,
     chi,
@@ -213,3 +218,28 @@ def test_n_mod_m_quotient_is_s3():
     assert sorted(orders) == [1, 2, 2, 2, 3, 3]
     # non-abelian
     assert any(table[i][j] != table[j][i] for i in range(6) for j in range(6))
+
+
+@pytest.mark.parametrize("domain", [TOWER, PUISEUX], ids=["tower", "puiseux"])
+def test_signed_permutation_det_is_det(domain):
+    """The determinant read off the shape equals the determinant of the
+    matrix, for every signed permutation with n <= 4."""
+    for n in range(1, 5):
+        for rows_of in permutations(range(n)):
+            for signs in product((1, -1), repeat=n):
+                m = _signed_permutation(rows_of, signs, domain)
+                assert det(m) == domain.coerce(_signed_permutation_det(rows_of, signs))
+
+
+def test_n_and_m_elements_form_no_determinant(monkeypatch):
+    def refuse(m):
+        raise AssertionError("a determinant was formed")
+
+    monkeypatch.setattr(rcg.slgroup, "det", refuse)
+    n_list, m_list = n_elements(3), m_elements(3)
+    monkeypatch.undo()
+    assert len({str(g) for g in n_list}) == 24 and len({str(g) for g in m_list}) == 4
+    for g in n_list:
+        assert det(g.mat) == 1 and member_N(g)
+    for g in m_list:
+        assert det(g.mat) == 1 and member_M(g)
