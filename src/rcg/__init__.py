@@ -25,7 +25,6 @@ from .errors import RcgError
 from .kostant import (
     ChamberPoint,
     chamber_projection,
-    hull_oracle,
     kostant_chars,
     kostant_member,
     orbit_sample_check,
@@ -114,7 +113,6 @@ __all__ = [
     "det",
     "eta_plus_expansion",
     "exp_nilpotent",
-    "hull_oracle",
     "inverse",
     "iwasawa_kau",
     "iwasawa_uak",

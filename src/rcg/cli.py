@@ -11,7 +11,7 @@ error (also a command-line usage error, a --trunc that is not a rational
 number or an input file that is not UTF-8), 2 domain error (also a shape
 mismatch, a --trunc <= 0 or a truncated O(X^(e)) input entry), 3
 indeterminate truncation, 4 internal error (a result failed its own check,
-or another RcgError such as NoRelatingElement or PrecisionExhausted).
+or another RcgError such as NoRelatingElement).
 --help writes the usage to the output stream and exits 0.
 
     python -m rcg.cli cartan g.mat

@@ -39,6 +39,7 @@ from .linalg import (
     Matrix,
     PuiseuxDomain,
     TOWER,
+    _all_vanish,
     _dot,
     det,
     rank,
@@ -72,8 +73,7 @@ class _Factorisation:
         """InternalError unless every known entry of reconstruct() - g
         vanishes (exactly zero over the tower) and each factor is in its
         subgroup."""
-        residual = self.reconstruct().mat - g.mat
-        if not all(residual.domain.vanishes(x) for row in residual.data for x in row):
+        if not _all_vanish(self.reconstruct().mat - g.mat):
             raise InternalError("reconstruction failed")
         for (name, factor), member in zip(self.factors().items(), self.subgroups):
             if not member(factor):

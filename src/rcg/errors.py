@@ -3,7 +3,7 @@
 Every failure mode of the library maps to one of these classes.  The CLI
 translates them to exit codes: ParseError -> 1, DomainError (and subclasses)
 -> 2, IndeterminateSign -> 3, and every other RcgError (InternalError,
-NoRelatingElement, PrecisionExhausted) -> 4.
+NoRelatingElement) -> 4.
 """
 
 
@@ -93,7 +93,3 @@ class InternalError(RcgError):
 class NoRelatingElement(RcgError):
     """A Weyl element relating two Cartan middle factors could not be found.
     This indicates a bug, not bad input."""
-
-
-class PrecisionExhausted(RcgError):
-    """A certified numeric test came too close to a decision boundary."""

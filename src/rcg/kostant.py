@@ -1,17 +1,11 @@
-"""The multiplicative Kostant convexity test for SL_n, with two routes.
+"""The multiplicative Kostant convexity test for SL_n.
 
-The production route is the character-inequality test: a lies in the
-A-component image of the K-orbit of b iff chi_j(a) <= chi_j(b) for the
-partial-product characters chi_j(a) = a_1 ... a_j.  Those characters are
-derived (not hardcoded) from the cone data of the A_{n-1} root system; the
-derivation is checked once per n.
-
-The independent test-time route is a convex-hull oracle over certified
-rational logarithms: log a must lie in the convex hull of the Weyl orbit of
-log b.  The hull decision runs exact rational geometry on interval
-midpoints and only accepts an answer whose margin dominates the interval
-error; PrecisionExhausted is raised when the point sits within slack
-10^-20 of the hull boundary.
+a lies in the A-component image of the K-orbit of b iff chi_j(a) <=
+chi_j(b) for the partial-product characters chi_j(a) = a_1 ... a_j.  Those
+characters are derived (not hardcoded) from the cone data of the A_{n-1}
+root system; the derivation is checked once per n.  The test suite checks
+this test against an independent convex-hull oracle over certified rational
+logarithms (Kostant's hull characterisation).
 
 The orbit sampler checks nothing twice: its rotations are built unchecked
 (c^2 + s^2 = 1 fixes each determinant), a_component certifies the
@@ -25,18 +19,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 
 from .decomp import a_component
-from .errors import DomainError, InternalError, PrecisionExhausted
+from .errors import DomainError, InternalError
 from .linalg import TOWER, Matrix, _exact_key
 from .rootsys import _primitive, build, cone_data
 from .slgroup import GroupElement, member_A
 
 F = Fraction
-
-#: geometric margin below which the hull oracle refuses to decide
-BOUNDARY_SLACK = F(1, 10**20)
 
 
 class ChamberPoint:
@@ -148,132 +138,6 @@ def kostant_member(a: ChamberPoint, b: ChamberPoint) -> bool:
     """True iff chi_j(a) <= chi_j(b) for every convexity character (exact
     sign tests; works over both scalar fields)."""
     return all(gap.sign() >= 0 for gap in _char_gaps(a, b))
-
-
-# ---------------------------------------------------------------------------
-# certified rational logarithms
-
-def _atanh_interval(z: Fraction, prec_bits: int):
-    """Enclosure of atanh(z) for 0 <= z < 1/2 by the odd power series with
-    an explicit geometric tail bound."""
-    target = F(1, 2) ** prec_bits
-    total = F(0)
-    k = 0
-    power = z
-    z2 = z * z
-    while True:
-        total += power / (2 * k + 1)
-        k += 1
-        power *= z2
-        tail = power / ((2 * k + 1) * (1 - z2))
-        if tail <= target:
-            return (total, total + tail)
-
-
-def ln_interval(x: Fraction, prec_bits: int):
-    """An interval containing ln(x) for rational x > 0."""
-    x = F(x)
-    if x <= 0:
-        raise DomainError("ln of a non-positive rational")
-    if x == 1:
-        return (F(0), F(0))
-    if x < 1:
-        lo, hi = ln_interval(1 / x, prec_bits)
-        return (-hi, -lo)
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / F(2) ** e
-    if m < 1:
-        m, e = m * 2, e - 1
-    # m in [1, 2): atanh argument (m-1)/(m+1) in [0, 1/3]
-    z = (m - 1) / (m + 1)
-    s_lo, s_hi = _atanh_interval(z, prec_bits + 4)
-    ln2_lo, ln2_hi = _atanh_interval(F(1, 3), prec_bits + 4)
-    lo = 2 * s_lo + e * 2 * ln2_lo
-    hi = 2 * s_hi + e * 2 * ln2_hi
-    if e < 0:
-        lo, hi = 2 * s_lo + e * 2 * ln2_hi, 2 * s_hi + e * 2 * ln2_lo
-    return (lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# the convex-hull oracle
-
-def _decide_1d(y, pts, margin):
-    lo, hi = min(pts), max(pts)
-    if y - hi > margin or lo - y > margin:
-        return False
-    if y - lo > margin and hi - y > margin:
-        return True
-    return None
-
-
-def _decide_2d(y, pts, margin2):
-    """Exact midpoint geometry with a squared margin: inside means deeper
-    than the margin behind every supporting pair-line, outside means
-    separated by more than the margin from one of them."""
-    decided_inside = True
-    for a in range(len(pts)):
-        for b in range(len(pts)):
-            if a == b:
-                continue
-            p, q = pts[a], pts[b]
-            c = (q[1] - p[1], p[0] - q[0])
-            if c == (0, 0):
-                continue
-            h = c[0] * p[0] + c[1] * p[1]
-            norm2 = c[0] * c[0] + c[1] * c[1]
-            if all(c[0] * r[0] + c[1] * r[1] <= h for r in pts):
-                gap = c[0] * y[0] + c[1] * y[1] - h
-                if gap > 0 and gap * gap > margin2 * norm2:
-                    return False
-                if not (gap < 0 and gap * gap > margin2 * norm2):
-                    decided_inside = False
-    if decided_inside and len({p for p in pts}) >= 3:
-        return True
-    return None
-
-
-def hull_oracle(a: ChamberPoint, b: ChamberPoint) -> bool:
-    """Decide log(a) in conv(W_s log(b)) for rational chamber points of
-    SL_n, n <= 3, by enumerating the Weyl orbit and running the exact
-    midpoint geometry on certified logarithm intervals.  This is the test
-    oracle for kostant_member, not a production path."""
-    n = a.n
-    if n > 3:
-        raise DomainError("hull oracle supports n <= 3")
-    diag_a = [x.as_fraction() for x in a.diagonal()]
-    diag_b = [x.as_fraction() for x in b.diagonal()]
-    if any(x is None for x in diag_a + diag_b):
-        raise DomainError("hull oracle needs rational chamber points")
-    if diag_a == diag_b:
-        return True  # a vertex of the orbit polytope
-    prec = 64
-    while True:
-        enclosures_a = [ln_interval(x, prec) for x in diag_a]
-        orbit = []
-        for perm in set(permutations(range(n))):
-            orbit.append([ln_interval(diag_b[p], prec) for p in perm])
-        eps = F(0)
-        for lo, hi in enclosures_a:
-            eps = max(eps, (hi - lo) / 2)
-        for pt in orbit:
-            for lo, hi in pt:
-                eps = max(eps, (hi - lo) / 2)
-        # drop the last (dependent) coordinate; errors stay bounded by eps
-        y = tuple((lo + hi) / 2 for lo, hi in enclosures_a[: n - 1])
-        pts = [tuple((lo + hi) / 2 for lo, hi in pt[: n - 1]) for pt in orbit]
-        delta = 2 * eps  # covers the l2 inflation from two coordinates
-        if n == 2:
-            verdict = _decide_1d(y[0], [p[0] for p in pts], 2 * delta)
-        else:
-            verdict = _decide_2d(y, pts, (2 * delta) * (2 * delta))
-        if verdict is not None:
-            return verdict
-        if 2 * delta < BOUNDARY_SLACK:
-            raise PrecisionExhausted(
-                "point within certification slack of the hull boundary"
-            )
-        prec *= 2
 
 
 # ---------------------------------------------------------------------------

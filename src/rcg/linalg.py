@@ -296,6 +296,12 @@ def _dot(u, v, domain):
     return acc
 
 
+def _all_vanish(m: Matrix) -> bool:
+    """True iff every known entry of m vanishes (domain.vanishes): exactly
+    zero over the tower; never raises IndeterminateSign."""
+    return all(m.domain.vanishes(x) for row in m.data for x in row)
+
+
 # ---------------------------------------------------------------------------
 # the lowering seam
 

@@ -24,13 +24,14 @@ from .errors import (
     ZeroParameter,
 )
 from .linalg import Matrix, commutator, inverse, kernel, solve
-from .linalg import _dot, _eliminate, _lift, _lower, _lower_pair
+from .linalg import _all_vanish, _dot, _eliminate, _lift, _lower, _lower_pair
 from .slgroup import (
     GroupElement,
     RootIndex,
     _coroot_basis,
     _require_root_vector,
     b_theta,
+    positive_roots,
     theta,
 )
 
@@ -229,9 +230,7 @@ class ThetaSet:
 
     @staticmethod
     def all_positive(n: int) -> "ThetaSet":
-        return ThetaSet(
-            n, [RootIndex(i, j) for i in range(n) for j in range(i + 1, n)]
-        )
+        return ThetaSet(n, positive_roots(n))
 
     def descending(self):
         return sorted(self.roots, key=lambda a: root_order_key(a, self.n), reverse=True)
@@ -263,8 +262,7 @@ def _root_sweep(u: GroupElement, theta_set: ThetaSet, left) -> tuple:
         rows = l_rows if alpha in left else r_rows
         rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
     l, r = _lift(dom, l_rows), _lift(dom, r_rows)
-    residual = l * r - u.mat
-    if not all(u.mat.domain.vanishes(x) for row in residual.data for x in row):
+    if not _all_vanish(l * r - u.mat):
         raise NotInUTheta("u is not a product of root-group elements over Theta")
     return params, l, r
 

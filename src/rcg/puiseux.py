@@ -817,18 +817,3 @@ def _lattice_result(scaled, m, p, q, lat, low, shift) -> PuiseuxScalar:
 #: the series variable itself (an infinite element of the field)
 X = PuiseuxScalar.monomial(1, 1)
 
-
-def sign(a: PuiseuxScalar) -> int:
-    return PuiseuxScalar.coerce(a).sign()
-
-
-def invert(a: PuiseuxScalar, target_order=None) -> PuiseuxScalar:
-    return PuiseuxScalar.coerce(a).invert(target_order)
-
-
-def sqrt_positive(a: PuiseuxScalar, target_order=None) -> PuiseuxScalar:
-    return PuiseuxScalar.coerce(a).sqrt_positive(target_order)
-
-
-def specialize(a: PuiseuxScalar, value) -> TowerScalar:
-    return PuiseuxScalar.coerce(a).specialize(value)

@@ -349,16 +349,17 @@ def conj_root_vector(a: GroupElement, alpha: RootIndex, x: Matrix) -> Matrix:
 # Weyl representatives and the N/M quotient for SL_3
 
 def weyl_reps_sl3():
-    """The six SL_3 Weyl representatives, one per chamber."""
-    mats = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
-        [[1, 0, 0], [0, 0, -1], [0, 1, 0]],
-        [[0, 0, -1], [0, 1, 0], [1, 0, 0]],
-        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
-        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    """The six SL_3 Weyl representatives, one per chamber: signed
+    permutations (rows_of, signs) of determinant +1."""
+    shapes = [
+        ((0, 1, 2), (1, 1, 1)),
+        ((1, 0, 2), (1, -1, 1)),
+        ((0, 2, 1), (1, 1, -1)),
+        ((2, 1, 0), (1, 1, -1)),
+        ((1, 2, 0), (1, 1, 1)),
+        ((2, 0, 1), (1, 1, 1)),
     ]
-    return [GroupElement.tower(m) for m in mats]
+    return [GroupElement._unchecked(_signed_permutation(p, s, TOWER)) for p, s in shapes]
 
 
 def _signed_permutation(rows_of, signs, domain) -> Matrix:

@@ -478,18 +478,6 @@ def _fold(src: Tower, depth: int, vec: tuple, dst: Tower, images: list) -> Tower
 # ---------------------------------------------------------------------------
 # field operations beyond the dunders
 
-def sign(a: TowerScalar) -> int:
-    return TowerScalar.coerce(a).sign()
-
-
-def approx(a: TowerScalar, precision) -> Interval:
-    return TowerScalar.coerce(a).approx(precision)
-
-
-def invert(a: TowerScalar) -> TowerScalar:
-    return TowerScalar.coerce(a).inv()
-
-
 def sqrt_positive(a) -> TowerScalar:
     """The positive square root.
 

@@ -6,7 +6,8 @@ src/rcg raises a typed RcgError.  And no call mutates process-wide state:
 src/rcg has no `global` statement, never assigns to an attribute of a
 module it imported (a working order travels in a ScalarDomain instead), and
 no function writes into a container bound at module level (a memo lives on
-the object it belongs to, as the tower merge maps do on their Tower)."""
+the object it belongs to, as the tower merge maps do on their Tower).
+Every error class the library defines is raised somewhere in it."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import types
 from pathlib import Path
 
 import rcg
+import rcg.errors
 
 PACKAGE = Path(rcg.__file__).resolve().parent
 
@@ -23,11 +25,18 @@ def _sources():
         yield path, ast.parse(path.read_text(), str(path))
 
 
-def _raises_assertion_error(node) -> bool:
+def _raised_name(node):
+    """The name of the class a raise statement raises, or None."""
     if not isinstance(node, ast.Raise) or node.exc is None:
-        return False
+        return None
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    if isinstance(exc, ast.Name):
+        return exc.id
+    return exc.attr if isinstance(exc, ast.Attribute) else None
+
+
+def _raises_assertion_error(node) -> bool:
+    return _raised_name(node) == "AssertionError"
 
 
 def test_no_assert_statements_in_the_library():
@@ -117,3 +126,13 @@ def test_no_process_wide_writes_in_the_library():
                         and target.value.id in modules):
                     found.append(f"{path.name}:{node.lineno}: writes {target.value.id}.{target.attr}")
     assert found == []
+
+
+def test_every_error_class_is_raised_in_the_library():
+    raised = {_raised_name(node) for _, tree in _sources() for node in ast.walk(tree)}
+    defined = {
+        name for name, value in vars(rcg.errors).items()
+        if isinstance(value, type) and issubclass(value, rcg.errors.RcgError)
+        and value is not rcg.errors.RcgError
+    }
+    assert sorted(defined - raised) == []

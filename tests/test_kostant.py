@@ -4,19 +4,19 @@ from fractions import Fraction
 import pytest
 
 import rcg.kostant
-from rcg.errors import DomainError, InternalError, PrecisionExhausted
+from rcg.errors import DomainError, InternalError
 from rcg.kostant import (
     ChamberPoint,
     chamber_projection,
     char_value,
-    hull_oracle,
     kostant_chars,
     kostant_member,
-    ln_interval,
     orbit_sample_check,
 )
 from rcg.puiseux import PuiseuxScalar, X
 from rcg.slgroup import GroupElement
+
+from _hull_oracle import hull_oracle, ln_interval
 
 F = Fraction
 mono = PuiseuxScalar.monomial
@@ -155,9 +155,8 @@ def test_hull_oracle_agreement_sl2_sl3():
         while count < 60:
             a = rand_chamber(rng, n)
             b = rand_chamber(rng, n)
-            try:
-                hull = hull_oracle(a, b)
-            except PrecisionExhausted:
+            hull = hull_oracle(a, b)
+            if hull is None:
                 boundary += 1
                 count += 1
                 continue

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rcg.errors import DivisionByZero, DomainError, NotPositive
-from rcg.tower import TowerScalar, approx, invert, sign, sqrt_positive
+from rcg.tower import TowerScalar, sqrt_positive
 
 F = Fraction
 ts = TowerScalar.coerce
@@ -31,18 +31,18 @@ def test_defining_relation():
 
 
 def test_invert_rational_and_radical():
-    assert invert(ts(2)) == F(1, 2)
+    assert ts(2).inv() == F(1, 2)
     r2 = sqrt_positive(2)
-    assert invert(r2) == r2 / 2
+    assert r2.inv() == r2 / 2
     # derived: product check is the oracle
     v = 1 + r2
-    assert v * invert(v) == 1
-    assert invert(v) == r2 - 1
+    assert v * v.inv() == 1
+    assert v.inv() == r2 - 1
 
 
 def test_invert_zero_raises():
     with pytest.raises(DivisionByZero):
-        invert(ts(0))
+        ts(0).inv()
 
 
 def test_lift_onto_a_tower_that_does_not_extend_is_a_domain_error():
@@ -53,16 +53,16 @@ def test_lift_onto_a_tower_that_does_not_extend_is_a_domain_error():
 
 
 def test_sign_basics():
-    assert sign(ts(0)) == 0
-    assert sign(sqrt_positive(2) - 1) == 1
-    assert sign(1 - sqrt_positive(2)) == -1
+    assert ts(0).sign() == 0
+    assert (sqrt_positive(2) - 1).sign() == 1
+    assert (1 - sqrt_positive(2)).sign() == -1
 
 
 def test_sign_nested_cancellation():
     # sqrt(5 + 2*sqrt(6)) denests to sqrt(2) + sqrt(3)
     r2, r3 = sqrt_positive(2), sqrt_positive(3)
     nested = sqrt_positive(5 + 2 * sqrt_positive(6))
-    assert sign(r2 + r3 - nested) == 0
+    assert (r2 + r3 - nested).sign() == 0
 
 
 def test_sqrt_positive_basic():
@@ -98,11 +98,11 @@ def test_sqrt_squares_roundtrip():
 
 
 def test_approx_basic():
-    lo, hi = approx(ts(F(1, 3)), F(1, 100))
+    lo, hi = ts(F(1, 3)).approx(F(1, 100))
     assert lo <= F(1, 3) <= hi and hi - lo <= F(1, 100)
-    lo, hi = approx(sqrt_positive(2), F(1, 1000))
+    lo, hi = sqrt_positive(2).approx(F(1, 1000))
     assert F(1414, 1000) <= lo and hi <= F(14143, 10000)
-    assert approx(ts(0), F(1)) == (0, 0)
+    assert ts(0).approx(F(1)) == (0, 0)
 
 
 def test_approx_nested_and_soundness():
@@ -114,7 +114,7 @@ def test_approx_nested_and_soundness():
         target = a if a.sign() >= 0 else -a
         prev_width = None
         for prec in (F(1, 10), F(1, 10**3), F(1, 10**6)):
-            lo, hi = approx(root - target, prec)
+            lo, hi = (root - target).approx(prec)
             assert lo <= 0 <= hi
             if prev_width is not None:
                 assert hi - lo <= prev_width
@@ -132,7 +132,7 @@ def test_field_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == 0
         if not a.is_zero():
-            assert a * invert(a) == 1
+            assert a * a.inv() == 1
 
 
 def test_order_compatibility_random():
@@ -140,9 +140,9 @@ def test_order_compatibility_random():
     for _ in range(60):
         a = rand_scalar(rng, rng.randint(0, 2))
         b = rand_scalar(rng, rng.randint(0, 2))
-        assert sign(a * b) == sign(a) * sign(b)
-        if sign(a) == 1 and sign(b) == 1:
-            assert sign(a + b) == 1
+        assert (a * b).sign() == a.sign() * b.sign()
+        if a.sign() == 1 and b.sign() == 1:
+            assert (a + b).sign() == 1
 
 
 def test_cross_tower_merge():
