@@ -15,7 +15,6 @@ from .decomp import (
     UAKResult,
     a_component,
     bruhat,
-    bruhat_permutation,
     cartan_kak,
     iwasawa_kau,
     iwasawa_uak,
@@ -74,7 +73,6 @@ from .slgroup import (
     member_U,
     root_space_decompose,
     theta,
-    weyl_reps_sl3,
 )
 from .tower import TowerScalar, sqrt_positive
 
@@ -103,7 +101,6 @@ __all__ = [
     "bch",
     "bch_series_terms",
     "bruhat",
-    "bruhat_permutation",
     "build",
     "cartan_kak",
     "chamber_projection",
@@ -146,6 +143,5 @@ __all__ = [
     "u_theta_factorize",
     "weyl",
     "weyl_order",
-    "weyl_reps_sl3",
     "zassenhaus",
 ]

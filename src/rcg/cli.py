@@ -12,7 +12,9 @@ number or an input file that is not UTF-8), 2 domain error (also a shape
 mismatch, a --trunc <= 0 or a truncated O(X^(e)) input entry), 3
 indeterminate truncation, 4 internal error (a result failed its own check,
 or another RcgError such as NoRelatingElement).
---help writes the usage to the output stream and exits 0.
+--help writes the usage to the output stream and exits 0.  The argument
+parser is built once per process, on the first run, and every later run
+reuses it.
 
     python -m rcg.cli cartan g.mat
 """
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import puiseux as puiseux_mod
 from .decomp import bruhat, cartan_kak, iwasawa_kau, iwasawa_uak
@@ -167,7 +170,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
-def make_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first run of a process and
+    reused by every later one: parsing keeps its state in the Namespace it
+    returns, not in the parser, and nothing builds one at import."""
     parser = _ArgumentParser(
         prog="rcg",
         description="exact SL_n decompositions over computable real closed fields",
@@ -222,7 +229,7 @@ _COMMANDS = {
 
 def run(argv, out=sys.stdout, err=sys.stderr) -> int:
     try:
-        args = make_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         order = _truncation_order(args.trunc)
         args.domain = TOWER if args.field == "tower" else PuiseuxDomain(order)
         _COMMANDS[args.command](args, out)

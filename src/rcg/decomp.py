@@ -4,12 +4,23 @@ All three work over the tower field and over the Puiseux field.  Each
 result is a product of its factors in field order, and res.certify(g) is
 its one complete check over both fields: the product against g (exact over
 the tower; over the Puiseux field every known term of k*a*u - g etc. must
-vanish), then each factor against its subgroup predicate.  That check
-costs more than a tower decomposition, so the caller that prints a result
-(the CLI) pays for it.  A decomposition checks only det = 1, once per
-factor, in the field where that factor was computed: a factor whose shape
-or construction fixes it is built unchecked, the others by the cheapest
-identity that fixes it.
+vanish), then each factor against its subgroup predicate.  The caller that
+prints a result (the CLI) runs it.
+
+A K factor's columns each carry their own radical, so k^T k or k a u
+merges n one-radical towers.  Every K factor built here but the tower
+Cartan k1 and k2 therefore keeps the scaled form B diag(s) it was built
+from (linalg._Scaled), B over g's own field: qhat diag(1/r_j) for the
+Iwasawa k (UAK's k keeps the form of the KAU k it is flipped from), and
+B1 diag(rho_j / c_j) and the lift's V = W diag(rho_j) for the Puiseux
+Cartan k1 and k2 = V^T.  certify checks the product and K membership from
+the forms over g's own field, once each printed entry equals its
+base_ij s_j; a factor without a form (built by a caller, swapped in with
+dataclasses.replace, or a tower Cartan factor) is checked on its matrix.
+
+A decomposition checks only det = 1, once per factor, in the field where
+that factor was computed: a factor whose shape or construction fixes it is
+built unchecked, the others by the cheapest identity that fixes it.
 - KAU and UAK: a = diag(r_j) by prod(r_j^2) = 1, the squared column norms
   of Gram-Schmidt in g's own tower; k by det(qhat) * prod(1/r_j) = 1;
   u is unitriangular.  a_component forms and certifies only a.
@@ -41,11 +52,13 @@ from .linalg import (
     TOWER,
     _all_vanish,
     _dot,
+    _Scaled,
+    _x0_det_sign,
     det,
-    rank,
     sym_eigen_lift,
     sym_eigen_tower,
 )
+from .puiseux import PuiseuxScalar
 from .slgroup import (
     GroupElement,
     _signed_permutation,
@@ -72,12 +85,105 @@ class _Factorisation:
     def certify(self, g: GroupElement) -> None:
         """InternalError unless every known entry of reconstruct() - g
         vanishes (exactly zero over the tower) and each factor is in its
-        subgroup."""
-        if not _all_vanish(self.reconstruct().mat - g.mat):
+        subgroup.  The product and the K factors are checked from the
+        factors' scaled forms when they carry them (_certify_forms)."""
+        formed = self._certify_forms(g)
+        if not formed and not _all_vanish(self.reconstruct().mat - g.mat):
             raise InternalError("reconstruction failed")
         for (name, factor), member in zip(self.factors().items(), self.subgroups):
-            if not member(factor):
+            if name not in formed and not member(factor):
                 raise InternalError(f"{name} is not in its subgroup")
+
+    def _certify_forms(self, g: GroupElement) -> tuple:
+        """Check the product and the K factors from the factors' forms and
+        return the names of the factors so checked; () when a form this
+        check reads is missing."""
+        return ()
+
+
+def _form(factor: GroupElement):
+    return getattr(factor, "_form", None)
+
+
+def _formed(mat: Matrix, form: _Scaled) -> GroupElement:
+    """The factor mat, unchecked, keeping the form it was built from."""
+    factor = GroupElement._unchecked(mat)
+    factor._form = form
+    return factor
+
+
+def _described(name: str, factor: GroupElement, mat: Matrix) -> _Scaled:
+    """The factor's form, once every entry of mat (the factor, or the
+    matrix its result relates to the form) equals its base_ij s_j: this
+    keeps the certificate about the matrix that is printed."""
+    form = _form(factor)
+    if not form.describes(mat):
+        raise InternalError(f"{name} is not the matrix of its form")
+    return form
+
+
+def _iwasawa_certificate(factor: GroupElement, k: Matrix, a: Matrix, u: Matrix, g: Matrix):
+    """k a u = g and k in K from k's form B diag(s), over g's own field:
+    - the product: a_jj s_j = 1 and B u = g, once a is diagonal with
+      a_jj > 0, which certify's member_A checks;
+    - k^T k = I: B^T B = diag(d) with d_j s_j^2 = 1 (_Scaled.column_norms);
+    - det a = 1 (member_A reads no determinant): prod(d_j) = 1.  Then
+      det u = 1 makes det k = det g = 1.
+    Each a_jj s_j and s_j^2 lies in its column's one tower, and for
+    rational g no tower is merged."""
+    form = _described("k", factor, k)
+    dom = form.base.domain
+    if not (
+        all(dom.vanishes(a.data[j][j] * s - dom.one) for j, s in enumerate(form.scales))
+        and _all_vanish(form.base * u - g)
+    ):
+        raise InternalError("reconstruction failed")
+    norms = form.column_norms()
+    if norms is None:
+        raise InternalError("k is not in its subgroup")
+    if not dom.vanishes(reduce(mul, norms) - dom.one):
+        raise InternalError("a is not in its subgroup")
+
+
+def _rational_coefficients(x: PuiseuxScalar) -> PuiseuxScalar:
+    """x over depth-0 coefficients when all of x's are rational, else x."""
+    if all(c.is_rational() for _, c in x.terms):
+        return PuiseuxScalar(((e, c.coeffs[0]) for e, c in x.terms), x.tail)
+    return x
+
+
+def _positive_x0_det(form: _Scaled) -> bool:
+    """det(base) prod(scales) > 0, the sign of det(base) read at X^0 and
+    taken as positive when unknown, as member_K does."""
+    if not all(s.sign() > 0 for s in form.scales):
+        return False
+    try:
+        return _x0_det_sign(form.base.data) > 0
+    except IndeterminateSign:
+        return True
+
+
+def _cartan_certificate(res: "KAKResult", g: Matrix) -> None:
+    """k1 a k2 = g and k1, k2 in K from the Puiseux Cartan forms k1 =
+    B1 diag(t) and k2^T = W diag(rho), over g's own field:
+    - k1 and k2 orthogonal (_Scaled.column_norms) with det +1: B1's and
+      W's columns are unit vectors times positive constants, so
+      _x0_det_sign reads det's sign;
+    - the product: as k2 k2^T = I, k1 a k2 = g iff k1 a = g k2^T, that is
+      B1 diag(a_jj t_j / rho_j) = g W once a is diagonal (member_A);
+      a_jj t_j / rho_j = r_j, lowered to g's field
+      (_rational_coefficients)."""
+    k1 = _described("k1", res.k1, res.k1.mat)
+    k2 = _described("k2", res.k2, res.k2.mat.transpose())
+    for name, form in (("k1", k1), ("k2", k2)):
+        if form.column_norms() is None or not _positive_x0_det(form):
+            raise InternalError(f"{name} is not in its subgroup")
+    roots = [
+        _rational_coefficients(res.a.mat.data[j][j] * (t * rho.inv()))
+        for j, (t, rho) in enumerate(zip(k1.scales, k2.scales))
+    ]
+    if not _all_vanish(_Scaled(k1.base, roots).matrix() - g * k2.base):
+        raise InternalError("reconstruction failed")
 
 
 @dataclass
@@ -87,6 +193,12 @@ class KAUResult(_Factorisation):
     u: GroupElement
     subgroups = (member_K, member_A, member_U)
 
+    def _certify_forms(self, g):
+        if _form(self.k) is None:
+            return ()
+        _iwasawa_certificate(self.k, self.k.mat, self.a.mat, self.u.mat, g.mat)
+        return ("k",)
+
 
 @dataclass
 class UAKResult(_Factorisation):
@@ -95,6 +207,16 @@ class UAKResult(_Factorisation):
     k: GroupElement
     subgroups = (member_U, member_A, member_K)
 
+    def _certify_forms(self, g):
+        """k keeps the form of k0 = J k^T J, and g = u a k iff
+        J g^T J = k0 (J a^T J)(J u^T J) (iwasawa_uak)."""
+        if _form(self.k) is None:
+            return ()
+        _iwasawa_certificate(
+            self.k, *(_flip(f.mat.transpose()) for f in (self.k, self.a, self.u, g))
+        )
+        return ("k",)
+
 
 @dataclass
 class KAKResult(_Factorisation):
@@ -102,6 +224,12 @@ class KAKResult(_Factorisation):
     a: GroupElement
     k2: GroupElement
     subgroups = (member_K, member_A, member_K)
+
+    def _certify_forms(self, g):
+        if _form(self.k1) is None or _form(self.k2) is None:
+            return ()
+        _cartan_certificate(self, g.mat)
+        return ("k1", "k2")
 
 
 @dataclass
@@ -170,23 +298,19 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
       known term of the difference vanishes), qhat the Gram-Schmidt matrix,
       whose determinant is cheap;
     - u is unitriangular, det 1 by shape.
+    k keeps its scaled form qhat diag(1/r_j) for certify.
     """
     dom = g.mat.domain
-    n = g.n
     qhat, norm2, u_rows = _gram_schmidt(g.mat)
     r_diag, a = _a_factor(norm2, dom)
-    inv_r = [dom.invert(r) for r in r_diag]
-    k_mat = Matrix(
-        dom,
-        [[qhat[j][i] * inv_r[j] for j in range(n)] for i in range(n)],
-    )
+    k = _Scaled(Matrix(dom, list(zip(*qhat))), [dom.invert(r) for r in r_diag])
     u = GroupElement._unchecked(Matrix(dom, u_rows))
-    d = det(Matrix(dom, list(zip(*qhat))))
-    for x in inv_r:
+    d = det(k.base)
+    for x in k.scales:
         d = d * x
     if not dom.vanishes(d - dom.one):
         raise DomainError(f"determinant of k is {d}, not 1")
-    return KAUResult(GroupElement._unchecked(k_mat), a, u)
+    return KAUResult(_formed(k.matrix(), k), a, u)
 
 
 def _flip(m: Matrix) -> Matrix:
@@ -210,7 +334,7 @@ def iwasawa_uak(g: GroupElement) -> UAKResult:
     kau = iwasawa_kau(same_det(_flip(g.mat.transpose())))
     u = same_det(_flip(kau.u.mat.transpose()))
     a = same_det(_flip(kau.a.mat))
-    k = same_det(_flip(kau.k.mat.transpose()))
+    k = _formed(_flip(kau.k.mat.transpose()), kau.k._form)
     return UAKResult(u, a, k)
 
 
@@ -247,7 +371,8 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     in last: sqrt(lam_j) = c_j r_j (each root taken once), the
     eigenvectors are rho_j w_j (sym_eigen_lift), and column j of k1 is
     (g w_j / r_j) (rho_j / c_j).  For rational g, r_j, w_j and the dot
-    products of k1 are rational series.
+    products of k1 are rational series.  k1 and k2 keep these scaled
+    forms for certify.
 
     Each factor is certified once, and none by a determinant:
     - a = diag(sqrt(lam_j)) by prod(lam_j) = det(g^T g) = 1, in the field
@@ -264,14 +389,15 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
         _check_unit_product(lift.eigenvalues, dom)
         parts = [lam._root_parts(dom.order) for lam in lift.eigenvalues]
         a = GroupElement._unchecked(Matrix.diagonal([r * c for c, r in parts], dom))
-        w, rhos = lift._frame
-        cols = []
+        w, rhos = lift._frame.base, lift._frame.scales
+        cols, scales = [], []
         for j, (c, r) in enumerate(parts):
             inv_r = r.invert(dom.order)
-            scale = rhos[j] * c.inv()
-            cols.append([_dot(row, w.col(j), dom) * inv_r * scale for row in g.mat.data])
-        k2 = GroupElement._unchecked(lift.eigenvectors.transpose())
-        return KAKResult(GroupElement._unchecked(Matrix(dom, list(zip(*cols)))), a, k2)
+            scales.append(rhos[j] * c.inv())
+            cols.append([_dot(row, w.col(j), dom) * inv_r for row in g.mat.data])
+        k1 = _Scaled(Matrix(dom, list(zip(*cols))), scales)
+        k2 = _formed(lift.eigenvectors.transpose(), lift._frame)
+        return KAKResult(_formed(k1.matrix(), k1), a, k2)
     lams, vmat = sym_eigen_tower(s)
     a_diag, a = _a_factor(lams, dom)
     inv_a = [dom.invert(x) for x in a_diag]
@@ -355,29 +481,3 @@ def bruhat(g: GroupElement) -> BruhatResult:
         GroupElement._unchecked(_signed_permutation(pivot_rows, signs, dom)),
         GroupElement._unchecked(Matrix(dom, b2)),
     )
-
-
-def bruhat_permutation(g: GroupElement) -> dict:
-    """The Bruhat cell of g as a map column -> pivot row, from the rank
-    matrix r(i, j) = rank of the lower-left submatrix g[i:, :j+1]: position
-    (i, j) carries a pivot iff the double difference of r equals one."""
-    n = g.n
-    cache = {}
-
-    def r(i, j):
-        # rank of rows i..n-1, columns 0..j; empty ranges have rank 0
-        if i >= n or j < 0:
-            return 0
-        if (i, j) not in cache:
-            sub = Matrix(
-                g.mat.domain, [row[: j + 1] for row in g.mat.data[i:]]
-            )
-            cache[(i, j)] = rank(sub)
-        return cache[(i, j)]
-
-    out = {}
-    for j in range(n):
-        for i in range(n):
-            if r(i, j) - r(i + 1, j) - r(i, j - 1) + r(i + 1, j - 1) == 1:
-                out[j] = i
-    return out

@@ -302,6 +302,56 @@ def _all_vanish(m: Matrix) -> bool:
     return all(m.domain.vanishes(x) for row in m.data for x in row)
 
 
+class _Scaled:
+    """The scaled form base diag(scales) of a matrix whose columns each
+    carry their own radical: base over the input's own field, each scale
+    positive with its square in that field (a tower constant, or a series
+    such as Iwasawa's 1/r_j).  Entry (i, j) is one product in the tower of
+    its one scale, so the matrix's identities can be checked on base, with
+    no tower merge (decomp's certify)."""
+
+    __slots__ = ("base", "scales")
+
+    def __init__(self, base: Matrix, scales):
+        self.base = base
+        self.scales = scales
+
+    def matrix(self) -> Matrix:
+        """base diag(scales)."""
+        return Matrix(
+            self.base.domain,
+            [[x * s for x, s in zip(row, self.scales)] for row in self.base.data],
+        )
+
+    def describes(self, m: Matrix) -> bool:
+        """Every entry of m equals its product base_ij scales_j."""
+        return all(
+            x == b * s
+            for row, brow in zip(m.data, self.base.data)
+            for x, b, s in zip(row, brow, self.scales)
+        )
+
+    def column_norms(self):
+        """The squared column norms d_j of base when base^T base is diagonal
+        and every d_j scales_j^2 = 1 (so the matrix is orthogonal; every
+        known term counts), else None.  Rational dot products run over
+        _Q."""
+        dom = self.base.domain
+        lowered, rows = _lower(self.base)
+        cols = list(zip(*rows))
+
+        def dot(i, j):
+            return _lift_scalar(lowered, _dot(cols[i], cols[j], lowered))
+
+        n = len(cols)
+        if not all(dom.vanishes(dot(i, j)) for i in range(n) for j in range(i + 1, n)):
+            return None
+        norms = [dot(j, j) for j in range(n)]
+        if not all(dom.vanishes(d * (s * s) - dom.one) for d, s in zip(norms, self.scales)):
+            return None
+        return norms
+
+
 # ---------------------------------------------------------------------------
 # the lowering seam
 
@@ -771,7 +821,8 @@ class SymEigenLift:
 
     Column j of V is rho_j w_j: the radicals enter through one positive
     tower constant rho_j per column, and the direction w_j lies in s's own
-    field.  The private _frame holds (W, [rho_j]), W the directions."""
+    field.  The private _frame is V's scaled form _Scaled(W, [rho_j]), W
+    the directions, which the Cartan k2 = V^T carries."""
 
     __slots__ = ("eigenvalues", "eigenvectors", "certified_order", "_frame")
 
@@ -918,8 +969,7 @@ def sym_eigen_lift(s: Matrix, order=None) -> SymEigenLift:
         inv_r = r.invert(order)
         cols.append(_orient([x * inv_r for x in v]))
         rhos.append(c.inv())
-    frame = _special_orthogonal(cols, s.domain)
-    vmat = Matrix(s.domain, [[x * rho for x, rho in zip(row, rhos)] for row in frame.data])
-    lift = SymEigenLift(lams, vmat, order)
-    lift._frame = (frame, rhos)
+    form = _Scaled(_special_orthogonal(cols, s.domain), rhos)
+    lift = SymEigenLift(lams, form.matrix(), order)
+    lift._frame = form
     return lift

@@ -45,7 +45,11 @@ class GroupElement:
       = 1 for a Cartan a, det(qhat) * prod(1/r_j) = 1 for an Iwasawa k, the
       eigenvector frame and det g for the Cartan k's, a unit diagonal for u
       and b1, and det g = det w det b2 with det w = +-1 and det b2 > 0 for
-      the Bruhat w and b2;
+      the Bruhat w and b2.  A K factor whose columns each carry their own
+      radical (the Iwasawa k, the Puiseux Cartan k1 and k2) also keeps the
+      scaled form it was built from in the private slot _form
+      (linalg._Scaled), which only decomp sets and only its certify reads;
+      products, transposes and every other element have none;
     - the rotations of the Kostant orbit sampler, by c^2 + s^2 = 1;
     - the elements of N and M listed by n_elements and m_elements, by
       _signed_permutation_det, which reads det off their shape;
@@ -54,7 +58,7 @@ class GroupElement:
       elements I + t E_ij, i < j, that factor U_Theta, by their unit
       diagonal."""
 
-    __slots__ = ("mat", "n")
+    __slots__ = ("mat", "n", "_form")
 
     def __init__(self, mat: Matrix):
         if not mat.is_square():
@@ -346,21 +350,7 @@ def conj_root_vector(a: GroupElement, alpha: RootIndex, x: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Weyl representatives and the N/M quotient for SL_3
-
-def weyl_reps_sl3():
-    """The six SL_3 Weyl representatives, one per chamber: signed
-    permutations (rows_of, signs) of determinant +1."""
-    shapes = [
-        ((0, 1, 2), (1, 1, 1)),
-        ((1, 0, 2), (1, -1, 1)),
-        ((0, 2, 1), (1, 1, -1)),
-        ((2, 1, 0), (1, 1, -1)),
-        ((1, 2, 0), (1, 1, 1)),
-        ((2, 0, 1), (1, 1, 1)),
-    ]
-    return [GroupElement._unchecked(_signed_permutation(p, s, TOWER)) for p, s in shapes]
-
+# N and M: signed permutations
 
 def _signed_permutation(rows_of, signs, domain) -> Matrix:
     """The signed permutation matrix with signs[c] at (rows_of[c], c) and
@@ -404,30 +394,3 @@ def m_elements(n: int):
         for signs in product((1, -1), repeat=n)
         if _signed_permutation_det(range(n), signs) == 1
     ]
-
-
-def n_mod_m_classes(n_list):
-    """Partition a list of N-elements into M-cosets and build the quotient
-    multiplication table.  Returns (representatives, table) where
-    table[a][b] is the class index of reps[a] * reps[b]."""
-    reps = []
-
-    def class_of(g: GroupElement):
-        for idx, r in enumerate(reps):
-            if member_M(GroupElement(inverse(r.mat) * g.mat)):
-                return idx
-        return None
-
-    for g in n_list:
-        if class_of(g) is None:
-            reps.append(g)
-    table = []
-    for a in reps:
-        row = []
-        for b in reps:
-            idx = class_of(a * b)
-            if idx is None:
-                raise DomainError("quotient is not closed under multiplication")
-            row.append(idx)
-        table.append(row)
-    return reps, table

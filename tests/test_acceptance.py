@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from rcg.decomp import (
     bruhat,
-    bruhat_permutation,
     cartan_kak,
     iwasawa_kau,
 )
@@ -36,12 +35,11 @@ from rcg.slgroup import (
     member_N,
     member_U,
     n_elements,
-    n_mod_m_classes,
-    weyl_reps_sl3,
 )
 from rcg.tower import sqrt_positive
 
 from _hull_oracle import hull_oracle
+from _references import bruhat_permutation, n_mod_m_classes, weyl_reps_sl3
 
 F = Fraction
 MEMBERSHIPS = (member_K, member_A, member_U, member_M, member_N, member_B)

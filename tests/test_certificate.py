@@ -11,14 +11,22 @@ projection, the determinant message, the decompositions and the nilpotent
 calculus compute no determinant they already have.
 """
 
+import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rcg
+import rcg.decomp
 import rcg.linalg
 import rcg.nilpotent
 import rcg.slgroup
+import rcg.tower
 from rcg.decomp import (
     BruhatResult,
     KAKResult,
@@ -29,9 +37,9 @@ from rcg.decomp import (
     iwasawa_kau,
     iwasawa_uak,
 )
-from rcg.errors import DomainError, InternalError
+from rcg.errors import DomainError, InternalError, RcgError
 from rcg.kostant import chamber_projection
-from rcg.linalg import PUISEUX, TOWER, Matrix, _exact_key
+from rcg.linalg import PUISEUX, TOWER, Matrix, _exact_key, _Scaled
 from rcg.nilpotent import (
     ThetaSet,
     bch,
@@ -283,3 +291,138 @@ def test_jacobson_morozov_eliminates_once_per_chain_level(monkeypatch):
     assert products == []
     # h has weights 2, 0, -2 and 1, -1
     assert (triple.h * triple.h).trace() == 10
+
+
+# ---------------------------------------------------------------------------
+# certificates drawn from the scaled forms of the K factors
+
+def _carrying(mat, form):
+    """An unchecked factor with this matrix that carries this form."""
+    factor = GroupElement._unchecked(mat)
+    factor._form = form
+    return factor
+
+
+def _stripped(res):
+    """res with every factor rebuilt without a form: certify's check on the
+    printed matrices."""
+    return replace(res, **{name: GroupElement._unchecked(f.mat)
+                           for name, f in res.factors().items()})
+
+
+def _verdict(res, g):
+    try:
+        res.certify(g)
+    except InternalError as exc:
+        return str(exc)
+    return "certified"
+
+
+def _unit_triangular_product(rng, n, bound=3):
+    """A rational element of SL_n: unit lower times unit upper, both dense."""
+    lower = [[1 if i == j else rng.randint(-bound, bound) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-bound, bound) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return GroupElement.tower(lower) * GroupElement.tower(upper)
+
+
+TOWER_3 = _unit_triangular_product(random.Random(5), 3)
+
+
+@pytest.mark.parametrize("g, decompose, name", [
+    (TOWER_3, iwasawa_kau, "k"), (TOWER_3, iwasawa_uak, "k"),
+    (PUISEUX_G, iwasawa_kau, "k"), (PUISEUX_G, iwasawa_uak, "k"),
+    (PUISEUX_G, cartan_kak, "k1"), (PUISEUX_G, cartan_kak, "k2"),
+], ids=["tower-kau", "tower-uak", "puiseux-kau", "puiseux-uak", "puiseux-k1", "puiseux-k2"])
+def test_certify_refuses_a_factor_whose_entry_disagrees_with_its_form(g, decompose, name):
+    res = decompose(g)
+    res.certify(g)
+    factor = getattr(res, name)
+    rows = [list(row) for row in factor.mat.data]
+    rows[1][0] = rows[1][0] + 1
+    wrong = replace(res, **{name: _carrying(Matrix(g.mat.domain, rows), factor._form)})
+    with pytest.raises(InternalError, match=f"{name} is not the matrix of its form"):
+        wrong.certify(g)
+
+
+def test_certify_refuses_a_form_whose_columns_are_not_orthogonal():
+    """k' = B' diag(s) with B' = B E, E unit upper triangular, and u' =
+    E^-1 u: k' a u' = g still holds, but B'^T B' is not diagonal."""
+    g = _unit_triangular_product(random.Random(11), 3)
+    res = iwasawa_kau(g)
+    form = res.k._form
+    shear = Matrix.tower([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    sheared = _Scaled(form.base * shear, form.scales)
+    u = GroupElement._unchecked(rcg.linalg.inverse(shear) * res.u.mat)
+    wrong = replace(res, k=_carrying(sheared.matrix(), sheared), u=u)
+    assert wrong.reconstruct() == g
+    with pytest.raises(InternalError, match="k is not in its subgroup"):
+        wrong.certify(g)
+    assert _verdict(_stripped(wrong), g) == "k is not in its subgroup"
+
+
+def test_certify_refuses_a_form_whose_column_norms_multiply_past_one():
+    """g of determinant 2, passed unchecked: Gram-Schmidt gives orthogonal
+    columns, a positive diagonal a and a unitriangular u with k a u = g,
+    and k has det +1, so the checks on the printed matrices pass; the form
+    shows prod(norm2_j) = det(g)^2 = 4, so det a = 2."""
+    g = GroupElement._unchecked(Matrix.tower([[3, 1], [1, 1]]))
+    qhat, norm2, u_rows = rcg.decomp._gram_schmidt(g.mat)
+    roots = [sqrt_positive(x) for x in norm2]
+    form = _Scaled(Matrix.tower(list(zip(*qhat))), [r.inv() for r in roots])
+    res = KAUResult(_carrying(form.matrix(), form),
+                    GroupElement._unchecked(Matrix.diagonal(roots)),
+                    GroupElement._unchecked(Matrix.tower(u_rows)))
+    assert _verdict(_stripped(res), g) == "certified"
+    with pytest.raises(InternalError, match="a is not in its subgroup"):
+        res.certify(g)
+
+
+def _panel():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads as W
+
+    rng = random.Random(W.SL3_PANEL_SEED)
+    return [W._puiseux_element(rcg, W.sl_puiseux(rng, 3)[0]) for _ in range(20)]
+
+
+@pytest.mark.parametrize("decompose", [
+    iwasawa_kau, iwasawa_uak, bruhat,
+    lambda g: cartan_kak(g, order=6), lambda g: cartan_kak(g, order=8),
+], ids=["kau", "uak", "bruhat", "kak6", "kak8"])
+def test_forms_and_printed_matrices_give_one_verdict_on_the_panel(decompose):
+    for g in _panel():
+        try:
+            res = decompose(g)
+        except RcgError:
+            continue
+        assert _verdict(res, g) == _verdict(_stripped(res), g) == "certified"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 10**6))
+def test_forms_and_printed_matrices_give_one_verdict_on_rational_input(n, seed):
+    g = _unit_triangular_product(random.Random(seed), n)
+    for decompose in (iwasawa_kau, iwasawa_uak, bruhat):
+        res = decompose(g)
+        assert _verdict(res, g) == _verdict(_stripped(res), g) == "certified"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_rational_iwasawa_certify_merges_no_tower_and_takes_no_determinant(n, monkeypatch):
+    """Each of k's entries, each a_jj s_j and s_j^2 lies in the one tower of
+    its column, and every identity is checked over Q; on the printed
+    matrices k a u merges the towers of all n columns."""
+    g = _unit_triangular_product(random.Random(f"merge-free-{n}"), n)
+    results = [iwasawa_kau(g), iwasawa_uak(g)]
+
+    def refuse(*_):
+        raise AssertionError("tower merge or determinant during certify")
+
+    monkeypatch.setattr(rcg.tower, "_merge", refuse)
+    monkeypatch.setattr(rcg.slgroup, "det", refuse)
+    for res in results:
+        res.certify(g)
+        with pytest.raises(AssertionError):
+            _stripped(res).certify(g)

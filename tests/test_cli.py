@@ -628,3 +628,31 @@ def test_cli_sqrt_of_zero_parses_and_of_a_negative_is_a_domain_error(tmp_path, f
     code, out, err = run_cli(["--field", field, "bruhat"],
                              files={"g.mat": "1, sqrt(-1); 0, 1"}, tmp_path=tmp_path)
     assert (code, out, err) == (2, "", "domain error: sqrt of a negative value\n")
+
+
+def test_cli_runs_in_one_process_print_what_fresh_processes_print(tmp_path, monkeypatch):
+    """run builds its parser once per process and reuses it: a sequence of
+    runs in this process, through one parser, prints the same bytes and
+    returns the same codes as each run in a fresh process, so argparse
+    carries no state from one run to the next."""
+    g, p = tmp_path / "g.mat", tmp_path / "p.mat"
+    g.write_text("2, 3; 1, 2")
+    p.write_text("X, 0; 1, X^(-1)")
+    sequence = [
+        ["bogus"],
+        ["--help"],
+        ["--format", "json", "iwasawa", str(g)],
+        ["--field", "puiseux", "--trunc", "6", "cartan", str(p)],
+        ["bruhat", str(g)],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # the width of --help
+    env = dict(os.environ, PYTHONPATH=str(Path(rcg.__file__).resolve().parent.parent))
+    parser = rcg.cli._parser()
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, out=out, err=err)
+        fresh = subprocess.run([sys.executable, "-m", "rcg.cli", *argv],
+                               capture_output=True, env=env, timeout=120)
+        assert (code, out.getvalue().encode(), err.getvalue().encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert rcg.cli._parser() is parser

@@ -14,7 +14,6 @@ from rcg.decomp import (
     KAKResult,
     a_component,
     bruhat,
-    bruhat_permutation,
     cartan_kak,
     iwasawa_kau,
     iwasawa_uak,
@@ -34,6 +33,8 @@ from rcg.slgroup import (
     member_U,
 )
 from rcg.tower import TowerScalar, sqrt_positive
+
+from _references import bruhat_permutation, weyl_reps_sl3
 
 F = Fraction
 mono = PuiseuxScalar.monomial
@@ -549,8 +550,6 @@ def test_bruhat_random_exact():
 
 def test_bruhat_cells_disjoint():
     rng = random.Random(71)
-    from rcg.slgroup import weyl_reps_sl3
-
     for w in weyl_reps_sl3():
         target = bruhat_permutation(w)
         for _ in range(20):

@@ -7,10 +7,16 @@ src/rcg has no `global` statement, never assigns to an attribute of a
 module it imported (a working order travels in a ScalarDomain instead), and
 no function writes into a container bound at module level (a memo lives on
 the object it belongs to, as the tower merge maps do on their Tower).
-Every error class the library defines is raised somewhere in it."""
+Every error class the library defines is raised somewhere in it.  And a
+fresh import of rcg builds no argument parser: the CLI builds its one
+parser on the first run of a process."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -136,3 +142,32 @@ def test_every_error_class_is_raised_in_the_library():
         and value is not rcg.errors.RcgError
     }
     assert sorted(defined - raised) == []
+
+
+def test_importing_rcg_builds_no_argument_parser():
+    """A fresh import of rcg and rcg.cli constructs no ArgumentParser: the
+    CLI builds its parser (and its sub-parsers) on the first run of a
+    process, and later runs build none."""
+    script = textwrap.dedent("""
+        import argparse, io
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting
+        import rcg, rcg.cli
+        counts = [len(built)]
+        for _ in range(2):
+            rcg.cli.run(["roots", "--type", "A2"], out=io.StringIO())
+            counts.append(len(built))
+        print(*counts)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    at_import, first_run, second_run = map(int, done.stdout.split())
+    assert at_import == 0 and first_run > 0 and second_run == first_run

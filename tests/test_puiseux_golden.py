@@ -122,7 +122,7 @@ def test_panel_kak_keeps_its_series_rational(rows_by_name, monkeypatch):
     g = GroupElement.puiseux(rows_by_name["sl3-0"])
     signs = _spy(monkeypatch, rcg.linalg, "_x0_det_sign")
     lift = sym_eigen_lift(g.mat.transpose() * g.mat, 8)
-    w, rhos = lift._frame
+    w, rhos = lift._frame.base, lift._frame.scales
     assert all(x._rational() for row in w.data for x in row)
     assert all(isinstance(rho, TowerScalar) and rho.sign() == 1 for rho in rhos)
     assert any(not rho.is_rational() for rho in rhos)

@@ -25,12 +25,12 @@ from rcg.slgroup import (
     member_N,
     member_U,
     n_elements,
-    n_mod_m_classes,
     positive_roots,
     root_space_decompose,
     theta,
-    weyl_reps_sl3,
 )
+
+from _references import n_mod_m_classes, weyl_reps_sl3
 
 F = Fraction
 
