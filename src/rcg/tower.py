@@ -14,15 +14,14 @@ by adaptive-precision rational interval refinement, which terminates because
 a nonzero element has nonzero magnitude.
 
 Merge memo: an operation on scalars of two towers neither of which extends
-the other lifts both into a common tower: the shallower tower is adjoined
-onto the deeper one (onto the left one when both are as deep).  The first
-such merge of an ordered pair of towers builds a merge map: the common
-tower and the images there of the adjoined tower's 2^d basis monomials, as
-sparse coefficient vectors.  The map is kept on the base Tower object,
-keyed by the adjoined tower's id and confirmed with `is` (it holds the
-adjoined tower, so the id cannot be reused while the entry lives).  Every
-later merge of that pair pads the base coefficients and maps the adjoined
-ones by one linear combination, and returns the same tower object, so the next operation on
+the other lifts both into a common tower.  The first such merge of an
+ordered pair of towers builds a merge map: the common tower and the images
+there of the right tower's 2^d basis monomials, as sparse coefficient
+vectors.  The map is kept on the left Tower object, keyed by the right
+tower's id and confirmed with `is` (it holds the right tower, so the id
+cannot be reused while the entry lives).  Every later merge of that pair
+pads the left coefficients and maps the right ones by one linear
+combination, and returns the same tower object, so the next operation on
 the result takes the equal-tower path.  The memo lives and dies with its
 tower: no module-level cache, no size limit.
 """
@@ -421,12 +420,7 @@ def _common(a: TowerScalar, b: TowerScalar):
 
 def _merge(a: TowerScalar, b: TowerScalar):
     """General merge through the memoised map of the pair (a.tower,
-    b.tower): a's coefficients padded, b's mapped by the basis images.
-    The shallower tower is adjoined onto the deeper one, so a tower that
-    already holds the other's radicals is the common tower itself."""
-    if a.tower.depth < b.tower.depth:
-        t, eb, ea = _merge(b, a)
-        return t, ea, eb
+    b.tower): a's coefficients padded, b's mapped by the basis images."""
     memo = a.tower._merges
     hit = memo.get(id(b.tower))
     if hit is None or hit[0] is not b.tower:

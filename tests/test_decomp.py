@@ -433,9 +433,9 @@ RADICAL_KAK_PRINTED = {'sl2-sqrt2': {'k1': [['1 + O(X^(-4))', '0 + O(X^(-2))'],
                           'O(X^(-5))']],
                    'k2': [['1 + O(X^(-4))', '1/3*X^(-3) - 1/3*X^(-5) + 10/27*X^(-7) + O(X^(-7))'],
                           ['-1/3*X^(-3) + 1/3*X^(-5) + O(X^(-5))', '1 + O(X^(-4))']]},
-     'sl2-both': {'k1': [['1 + O(X^(-4))', '-1/4*sqrt(3)*sqrt(2)*X^(-3) + O(X^(-3))'],
-                         ['1/4*sqrt(3)*sqrt(2)*X^(-3) - 3/8*sqrt(3)*sqrt(2)*X^(-5) + '
-                          '5/8*sqrt(3)*sqrt(2)*X^(-7) + O(X^(-7))',
+     'sl2-both': {'k1': [['1 + O(X^(-4))', '-1/4*sqrt(2)*sqrt(3)*X^(-3) + O(X^(-3))'],
+                         ['1/4*sqrt(2)*sqrt(3)*X^(-3) - 3/8*sqrt(2)*sqrt(3)*X^(-5) + '
+                          '5/8*sqrt(2)*sqrt(3)*X^(-7) + O(X^(-7))',
                           '1 + O(X^(-4))']],
                   'a': [['sqrt(2)*X + 3/4*sqrt(2)*X^(-1) - 9/32*sqrt(2)*X^(-3) + O(X^(-3))', '0'],
                         ['0',
@@ -494,7 +494,7 @@ RADICAL_KAK_PRINTED = {'sl2-sqrt2': {'k1': [['1 + O(X^(-4))', '0 + O(X^(-2))'],
                             '-1 + 1/16*X^(-2) + 245/512*X^(-4) + O(X^(-4))',
                             '-1/4*sqrt(2)*X^(-1) - 13/64*sqrt(2)*X^(-3) + 129/2048*sqrt(2)*X^(-5) '
                             '+ O(X^(-5))'],
-                           ['-1/8*sqrt(3)*sqrt(2)*X^(-3) + 11/128*sqrt(3)*sqrt(2)*X^(-5) + '
+                           ['-1/8*sqrt(2)*sqrt(3)*X^(-3) + 11/128*sqrt(2)*sqrt(3)*X^(-5) + '
                             'O(X^(-5))',
                             '1/4*sqrt(2)*X^(-1) + 13/64*sqrt(2)*X^(-3) - 321/2048*sqrt(2)*X^(-5) + '
                             'O(X^(-5))',
