@@ -12,10 +12,8 @@ calculus compute no determinant they already have.
 """
 
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +25,7 @@ import rcg.linalg
 import rcg.nilpotent
 import rcg.slgroup
 import rcg.tower
+from _panel import W, sl3_panel
 from rcg.decomp import (
     BruhatResult,
     KAKResult,
@@ -380,11 +379,7 @@ def test_certify_refuses_a_form_whose_column_norms_multiply_past_one():
 
 
 def _panel():
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import workloads as W
-
-    rng = random.Random(W.SL3_PANEL_SEED)
-    return [W._puiseux_element(rcg, W.sl_puiseux(rng, 3)[0]) for _ in range(20)]
+    return [W._puiseux_element(rcg, g) for g in sl3_panel()]
 
 
 @pytest.mark.parametrize("decompose", [

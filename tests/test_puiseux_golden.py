@@ -22,21 +22,16 @@ Regenerate (only when a change is meant to alter results):
 
 import json
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
 import rcg.decomp
 import rcg.linalg
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-import workloads as W  # noqa: E402
-
-from rcg import GroupElement, PuiseuxScalar, RcgError, bruhat, cartan_kak, iwasawa_kau  # noqa: E402
-from rcg.linalg import sym_eigen_lift  # noqa: E402
-from rcg.tower import TowerScalar  # noqa: E402
+from _panel import W, sl3_panel
+from rcg import GroupElement, PuiseuxScalar, RcgError, bruhat, cartan_kak, iwasawa_kau
+from rcg.linalg import sym_eigen_lift
+from rcg.tower import TowerScalar
 
 GOLDEN_PATH = Path(__file__).with_name("puiseux_golden.json")
 
@@ -55,9 +50,8 @@ OPERATIONS = {
 def inputs():
     """(name, rows of PuiseuxScalar) for every golden input."""
     rng = random.Random(SEED)
-    panel = random.Random(W.SL3_PANEL_SEED)
     draws = [(f"sl2-{i}", W.sl_puiseux(rng, 2)[0]) for i in range(16)]
-    draws += [(f"sl3-{i}", W.sl_puiseux(panel, 3)[0]) for i in range(20)]
+    draws += [(f"sl3-{i}", g) for i, g in enumerate(sl3_panel())]
     draws += [(name, W.sl_puiseux(rng, n)[0])
               for name, n in (("sl4-0", 4), ("sl5-0", 5), ("sl5-1", 5))]
     return [
