@@ -8,15 +8,17 @@ vanish), then each factor against its subgroup predicate.  The caller that
 prints a result (the CLI) runs it.
 
 A K factor's columns each carry their own radical, so k^T k or k a u
-merges n one-radical towers.  Every K factor built here but the tower
-Cartan k1 and k2 therefore keeps the scaled form B diag(s) it was built
-from (linalg._Scaled), B over g's own field: qhat diag(1/r_j) for the
-Iwasawa k (UAK's k keeps the form of the KAU k it is flipped from), and
-B1 diag(rho_j / c_j) and the lift's V = W diag(rho_j) for the Puiseux
-Cartan k1 and k2 = V^T.  certify checks the product and K membership from
-the forms over g's own field, once each printed entry equals its
-base_ij s_j; a factor without a form (built by a caller, swapped in with
-dataclasses.replace, or a tower Cartan factor) is checked on its matrix.
+merges n one-radical towers.  Every K factor built here therefore keeps
+the scaled form B diag(s) it was built from (linalg._Scaled): qhat
+diag(1/r_j) for the Iwasawa k (UAK's k keeps the form of the KAU k it is
+flipped from); for the Cartan k1 and k2 = V^T, B1 diag(rho_j / c_j) and
+the lift's V = W diag(rho_j) over the Puiseux field, and g F diag(rho_j /
+a_jj) and the eigenvector frame's V = F diag(rho_j) over the tower.  B
+lies in g's own field, or for the tower Cartan in the eigenvalues' tower.
+certify checks the product and K membership from the forms in that field,
+once each printed entry equals its base_ij s_j; a factor without a form
+(built by a caller or swapped in with dataclasses.replace) is checked on
+its matrix.
 
 A decomposition checks only det = 1, once per factor, in the field where
 that factor was computed: a factor whose shape or construction fixes it is
@@ -52,11 +54,14 @@ from .linalg import (
     TOWER,
     _all_vanish,
     _dot,
+    _lift,
+    _lift_scalar,
+    _lower,
     _Scaled,
+    _sym_eigen_frame,
     _x0_det_sign,
     det,
     sym_eigen_lift,
-    sym_eigen_tower,
 )
 from .puiseux import PuiseuxScalar
 from .slgroup import (
@@ -69,6 +74,7 @@ from .slgroup import (
     member_N,
     member_U,
 )
+from .tower import TowerScalar
 
 
 class _Factorisation:
@@ -145,18 +151,25 @@ def _iwasawa_certificate(factor: GroupElement, k: Matrix, a: Matrix, u: Matrix, 
         raise InternalError("a is not in its subgroup")
 
 
-def _rational_coefficients(x: PuiseuxScalar) -> PuiseuxScalar:
-    """x over depth-0 coefficients when all of x's are rational, else x."""
+def _lowered(x):
+    """x over depth-0 scalars when it is rational (a tower scalar) or all
+    its coefficients are (a series), else x."""
+    if isinstance(x, TowerScalar):
+        return TowerScalar.from_fraction(x.coeffs[0]) if x.is_rational() else x
     if all(c.is_rational() for _, c in x.terms):
         return PuiseuxScalar(((e, c.coeffs[0]) for e, c in x.terms), x.tail)
     return x
 
 
-def _positive_x0_det(form: _Scaled) -> bool:
-    """det(base) prod(scales) > 0, the sign of det(base) read at X^0 and
+def _positive_det(form: _Scaled) -> bool:
+    """det(base) prod(scales) > 0.  A tower base is one Cartan frame (in the
+    eigenvalues' tower, times g for k1), whose determinant sign is read
+    exactly; a Puiseux base has its sign read at X^0 (_x0_det_sign) and
     taken as positive when unknown, as member_K does."""
     if not all(s.sign() > 0 for s in form.scales):
         return False
+    if form.base.domain is TOWER:
+        return det(form.base).sign() > 0
     try:
         return _x0_det_sign(form.base.data) > 0
     except IndeterminateSign:
@@ -164,22 +177,22 @@ def _positive_x0_det(form: _Scaled) -> bool:
 
 
 def _cartan_certificate(res: "KAKResult", g: Matrix) -> None:
-    """k1 a k2 = g and k1, k2 in K from the Puiseux Cartan forms k1 =
-    B1 diag(t) and k2^T = W diag(rho), over g's own field:
-    - k1 and k2 orthogonal (_Scaled.column_norms) with det +1: B1's and
-      W's columns are unit vectors times positive constants, so
-      _x0_det_sign reads det's sign;
+    """k1 a k2 = g and k1, k2 in K from the Cartan forms k1 = B1 diag(t)
+    and k2^T = W diag(rho), over g's own field (the tower Cartan: over the
+    eigenvalues' tower):
+    - k1 and k2 orthogonal (_Scaled.column_norms) with det +1
+      (_positive_det);
     - the product: as k2 k2^T = I, k1 a k2 = g iff k1 a = g k2^T, that is
       B1 diag(a_jj t_j / rho_j) = g W once a is diagonal (member_A);
-      a_jj t_j / rho_j = r_j, lowered to g's field
-      (_rational_coefficients)."""
+      a_jj t_j / rho_j is lowered to depth 0 when rational (_lowered): it
+      is the series r_j over the Puiseux field, and 1 over the tower."""
     k1 = _described("k1", res.k1, res.k1.mat)
     k2 = _described("k2", res.k2, res.k2.mat.transpose())
     for name, form in (("k1", k1), ("k2", k2)):
-        if form.column_norms() is None or not _positive_x0_det(form):
+        if form.column_norms() is None or not _positive_det(form):
             raise InternalError(f"{name} is not in its subgroup")
     roots = [
-        _rational_coefficients(res.a.mat.data[j][j] * (t * rho.inv()))
+        _lowered(res.a.mat.data[j][j] * (t * rho.inv()))
         for j, (t, rho) in enumerate(zip(k1.scales, k2.scales))
     ]
     if not _all_vanish(_Scaled(k1.base, roots).matrix() - g * k2.base):
@@ -245,26 +258,32 @@ class BruhatResult(_Factorisation):
 
 def _gram_schmidt(m: Matrix):
     """Gram-Schmidt on the columns of m, division-only (no radicals): the
-    orthogonal columns qhat_j, their squared norms and the rows of the
-    unitriangular u with m = qhat u.  Everything stays in m's own tower."""
-    dom = m.domain
+    matrix qhat of the orthogonal columns, their squared norms and the
+    unitriangular u with m = qhat u.  Everything stays in m's own tower: a
+    rational m runs over _Q (linalg._lower), and qhat, the norms and u are
+    lifted to depth-0 tower scalars once, at the end."""
+    dom, rows = _lower(m)
     n = m.nrows
-    cols = [m.col(j) for j in range(n)]
+    cols = list(zip(*rows))
     qhat = []
     norm2 = []
     inv_norm2 = []
-    u_rows = [list(row) for row in Matrix.identity(n, dom).data]
+    u_rows = [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
     for j in range(n):
-        v = list(cols[j])
+        v = cols[j]
         for i in range(j):
             c = _dot(qhat[i], cols[j], dom) * inv_norm2[i]
             u_rows[i][j] = c
             v = [a - c * b for a, b in zip(v, qhat[i])]
-        qhat.append(tuple(v))
+        qhat.append(v)
         n2 = _dot(v, v, dom)
         norm2.append(n2)
         inv_norm2.append(dom.invert(n2))
-    return qhat, norm2, u_rows
+    return (
+        _lift(dom, list(zip(*qhat))),
+        [_lift_scalar(dom, x) for x in norm2],
+        _lift(dom, u_rows),
+    )
 
 
 def _check_unit_product(squares, dom):
@@ -301,16 +320,15 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
     k keeps its scaled form qhat diag(1/r_j) for certify.
     """
     dom = g.mat.domain
-    qhat, norm2, u_rows = _gram_schmidt(g.mat)
+    qhat, norm2, u = _gram_schmidt(g.mat)
     r_diag, a = _a_factor(norm2, dom)
-    k = _Scaled(Matrix(dom, list(zip(*qhat))), [dom.invert(r) for r in r_diag])
-    u = GroupElement._unchecked(Matrix(dom, u_rows))
+    k = _Scaled(qhat, [dom.invert(r) for r in r_diag])
     d = det(k.base)
     for x in k.scales:
         d = d * x
     if not dom.vanishes(d - dom.one):
         raise DomainError(f"determinant of k is {d}, not 1")
-    return KAUResult(_formed(k.matrix(), k), a, u)
+    return KAUResult(_formed(k.matrix(), k), a, GroupElement._unchecked(u))
 
 
 def _flip(m: Matrix) -> Matrix:
@@ -354,7 +372,10 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     """g = k1 a k2 with a the descending singular-value diagonal.
 
     Tower inputs need a tower-solvable simple spectrum of g^T g, and the
-    result is exact.
+    result is exact.  The eigenvectors are F_j rho_j, F the frame in the
+    eigenvalues' tower and rho_j = 1/|F_j| (linalg._sym_eigen_frame), and
+    column j of k1 is (g F)_j (rho_j / a_jj); k1 and k2 keep these scaled
+    forms for certify.
 
     Puiseux inputs need a simple leading spectrum.  The eigen data of g^T g
     are lifted to the relative order `order` (default: the order of g's
@@ -398,19 +419,12 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
         k1 = _Scaled(Matrix(dom, list(zip(*cols))), scales)
         k2 = _formed(lift.eigenvectors.transpose(), lift._frame)
         return KAKResult(_formed(k1.matrix(), k1), a, k2)
-    lams, vmat = sym_eigen_tower(s)
+    lams, v = _sym_eigen_frame(s)
     a_diag, a = _a_factor(lams, dom)
-    inv_a = [dom.invert(x) for x in a_diag]
-    n = g.n
-    k2 = GroupElement._unchecked(vmat.transpose())
-    k1 = Matrix(
-        dom,
-        [
-            [_dot(g.mat.row(i), vmat.col(j), dom) * inv_a[j] for j in range(n)]
-            for i in range(n)
-        ],
-    )
-    return KAKResult(GroupElement._unchecked(k1), a, k2)
+    scales = [rho * dom.invert(x) for rho, x in zip(v.scales, a_diag)]
+    k1 = _Scaled(g.mat * v.base, scales)
+    k2 = _formed(v.matrix().transpose(), v)
+    return KAKResult(_formed(k1.matrix(), k1), a, k2)
 
 
 def kak_uniqueness_check(g: GroupElement, res1: KAKResult, res2: KAKResult) -> GroupElement:

@@ -7,10 +7,18 @@ root system; the derivation is checked once per n.  The test suite checks
 this test against an independent convex-hull oracle over certified rational
 logarithms (Kostant's hull characterisation).
 
+Both sides of each inequality are positive, so kostant_member and the
+orbit sampler decide it on squares, chi_j(a)^2 = chi_j(a^2) <= chi_j(b)^2.
+The A-component a of a rational orbit point has entries sqrt(norm2_j), one
+radical each, and rational squares: the sampler sorts those squares into
+the chamber and compares Fractions, with no product of radicals and no
+tower merge; only the reported slack chi_j(b) - sqrt(chi_j(a)^2) takes one
+square root.  The CLI's kostant-check reports the gaps chi_j(b) - chi_j(a)
+themselves (_char_gaps).
+
 The orbit sampler checks nothing twice: its rotations are built unchecked
-(c^2 + s^2 = 1 fixes each determinant), a_component certifies the
-A-component by prod(r_j^2) = 1 in decomp, chamber_projection sorts it into
-A+ without testing it again, and each character gap is formed once.
+over Q (c^2 + s^2 = 1 fixes each determinant), and a_component certifies
+the A-component by prod(r_j^2) = 1 in decomp; a is not tested again.
 """
 
 from __future__ import annotations
@@ -18,13 +26,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import mul
 
 from .decomp import a_component
 from .errors import DomainError, InternalError
-from .linalg import TOWER, Matrix, _exact_key
+from .linalg import _Q, TOWER, Matrix, _exact_key, _lift, _product
 from .rootsys import _primitive, build, cone_data
 from .slgroup import GroupElement, member_A
+from .tower import TowerScalar
 
 F = Fraction
 
@@ -111,12 +121,19 @@ def _derive_chars(n: int) -> tuple:
 
 
 def char_value(vec, a: ChamberPoint):
-    dom = a.element.mat.domain
-    total = dom.one
-    for k, power in enumerate(vec):
-        for _ in range(power):
-            total = total * a.element.mat.data[k][k]
-    return total
+    return _char(vec, a.diagonal(), a.element.mat.domain)
+
+
+def _char(vec, diag, dom):
+    """prod(diag_k ** vec_k), the character vec on a diagonal, begun from
+    its first factor."""
+    factors = [x for x, power in zip(diag, vec) for _ in range(power)]
+    return reduce(mul, factors) if factors else dom.one
+
+
+def _chars(diag, dom):
+    """chi_j on a diagonal, one per convexity character."""
+    return [_char(vec, diag, dom) for vec in kostant_chars(len(diag))]
 
 
 def _char_gaps(a: ChamberPoint, b: ChamberPoint):
@@ -125,6 +142,17 @@ def _char_gaps(a: ChamberPoint, b: ChamberPoint):
     if a.n != b.n:
         raise DomainError("dimension mismatch")
     return (char_value(vec, b) - char_value(vec, a) for vec in kostant_chars(a.n))
+
+
+def _square(x):
+    """x^2, lowered to a depth-0 tower scalar when it is rational: the
+    square of a_component's sqrt(norm2_j) is the rational norm2_j for
+    rational input, and squares of different towers then compare as
+    Fractions, with no tower merge."""
+    sq = x * x
+    if isinstance(sq, TowerScalar) and len(sq.coeffs) > 1 and sq.is_rational():
+        return TowerScalar.from_fraction(sq.coeffs[0])
+    return sq
 
 
 def _slack(gap) -> float:
@@ -136,24 +164,30 @@ def _slack(gap) -> float:
 
 def kostant_member(a: ChamberPoint, b: ChamberPoint) -> bool:
     """True iff chi_j(a) <= chi_j(b) for every convexity character (exact
-    sign tests; works over both scalar fields)."""
-    return all(gap.sign() >= 0 for gap in _char_gaps(a, b))
+    sign tests; works over both scalar fields).  Both sides are positive,
+    so each is decided on its square, chi_j(a)^2 <= chi_j(b)^2."""
+    if a.n != b.n:
+        raise DomainError("dimension mismatch")
+    dom = a.element.mat.domain
+    squared = [[_square(c) for c in _chars(p.diagonal(), dom)] for p in (a, b)]
+    return all((cb - ca).sign() >= 0 for ca, cb in zip(*squared))
 
 
 # ---------------------------------------------------------------------------
 # orbit sampling
 
-def _rotation(n, i, j, t: Fraction) -> GroupElement:
-    """The rotation by the rational point (c, s) of the unit circle with
-    tan-half parameter t; c^2 + s^2 = 1 makes its determinant 1."""
+def _rotation(n, i, j, t: Fraction) -> list:
+    """The rows, over Q, of the rotation by the rational point (c, s) of
+    the unit circle with tan-half parameter t; c^2 + s^2 = 1 makes its
+    determinant 1."""
     c = (1 - t * t) / (1 + t * t)
     s = 2 * t / (1 + t * t)
-    rows = [list(row) for row in Matrix.identity(n).data]
+    rows = [[F(int(p == q)) for q in range(n)] for p in range(n)]
     rows[i][i] = c
     rows[j][j] = c
     rows[i][j] = -s
     rows[j][i] = s
-    return GroupElement._unchecked(Matrix.tower(rows))
+    return rows
 
 
 @dataclass
@@ -165,27 +199,36 @@ class OrbitSampleReport:
 
 
 def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSampleReport:
-    """Sample K-orbit points k*b with exact rational rotations, project
-    their Iwasawa A-components to the chamber and check the character
-    inequalities every time.  A single violation raises InternalError
-    (this is the falsifiable face of the convexity statement).  Each gap
-    chi_j(b) - chi_j(a) is formed once and serves both the exact sign test
-    and the reported slack."""
+    """Sample K-orbit points k*b with exact rational rotations, take their
+    Iwasawa A-components and check the character inequalities every time.
+    A single violation raises InternalError (this is the falsifiable face
+    of the convexity statement).
+
+    The inequalities are decided on squared characters: the squares of the
+    A-component's entries are rational for rational b, are sorted into the
+    chamber and give chi_j(a)^2, which is compared with chi_j(b)^2.  Each
+    reported slack is chi_j(b) - sqrt(chi_j(a)^2), one radical."""
     rng = random.Random(seed)
     n = b.n
+    dom = b.element.mat.domain
+    b_chars = _chars(b.diagonal(), dom)
+    b_squares = [_square(c) for c in b_chars]
     min_slack = None
     max_slack = None
     for _ in range(trials):
-        k = GroupElement.identity(n)
+        rows = None
         for _ in range(rng.randint(1, 3)):
             i, j = sorted(rng.sample(range(n), 2))
             t = F(rng.randint(-9, 9), rng.randint(1, 9))
-            k = k * _rotation(n, i, j, t)
-        proj = chamber_projection(a_component(k * b.element))
-        gaps = list(_char_gaps(proj, b))
-        if any(gap.sign() < 0 for gap in gaps):
+            rotation = _rotation(n, i, j, t)
+            rows = rotation if rows is None else _product(_Q, rows, rotation)
+        k = GroupElement._unchecked(_lift(_Q, rows))
+        a = a_component(k * b.element)
+        squares = sorted((_square(a[i, i]) for i in range(n)), key=_exact_key, reverse=True)
+        a_squares = _chars(squares, dom)  # chi_j(a^2) = chi_j(a)^2
+        if any((cb - ca).sign() < 0 for ca, cb in zip(a_squares, b_squares)):
             raise InternalError("convexity violation")
-        slack = min(_slack(gap) for gap in gaps)
+        slack = min(_slack(cb - dom.sqrt_positive(ca)) for ca, cb in zip(a_squares, b_chars))
         min_slack = slack if min_slack is None else min(min_slack, slack)
         max_slack = slack if max_slack is None else max(max_slack, slack)
     return OrbitSampleReport(trials, 0, min_slack, max_slack)

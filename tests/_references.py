@@ -1,9 +1,15 @@
 """Reference routines that the tests check the library against and that
 the library itself does not use: the rank-matrix Bruhat cell, the six SL_3
-Weyl representatives and the quotient N/M.  They moved here from
-rcg.decomp and rcg.slgroup unchanged."""
+Weyl representatives and the quotient N/M, which moved here from
+rcg.decomp and rcg.slgroup unchanged, and the Kostant test decided on the
+characters themselves, radicals and all, which rcg.kostant decides on
+their squares."""
 
-from rcg.errors import DomainError
+import random
+from fractions import Fraction
+
+from rcg.errors import DomainError, InternalError
+from rcg.kostant import _char_gaps, _slack, chamber_projection
 from rcg.linalg import TOWER, Matrix, inverse, rank
 from rcg.slgroup import GroupElement, _signed_permutation, member_M
 
@@ -73,3 +79,47 @@ def n_mod_m_classes(n_list):
             row.append(idx)
         table.append(row)
     return reps, table
+
+
+def radical_member(a, b) -> bool:
+    """chi_j(a) <= chi_j(b) for every convexity character, each gap
+    chi_j(b) - chi_j(a) formed with its radicals and its sign tested."""
+    return all(gap.sign() >= 0 for gap in _char_gaps(a, b))
+
+
+def radical_orbit_point(a: GroupElement, b):
+    """One orbit sample on the characters themselves: the A-element a
+    sorted into the chamber (chamber_projection), then the gaps to b.
+    InternalError on a violation, else the smallest gap's _slack."""
+    gaps = list(_char_gaps(chamber_projection(a), b))
+    if any(gap.sign() < 0 for gap in gaps):
+        raise InternalError("convexity violation")
+    return min(_slack(gap) for gap in gaps)
+
+
+def _rotation(n, i, j, t: Fraction) -> GroupElement:
+    c = (1 - t * t) / (1 + t * t)
+    s = 2 * t / (1 + t * t)
+    rows = [list(row) for row in Matrix.identity(n).data]
+    rows[i][i] = c
+    rows[j][j] = c
+    rows[i][j] = -s
+    rows[j][i] = s
+    return GroupElement._unchecked(Matrix.tower(rows))
+
+
+def radical_orbit_sample_check(b, trials: int, seed: int, a_component):
+    """orbit_sample_check's rotations, each orbit point's A-component
+    a_component(k b) taken through radical_orbit_point: (trials,
+    violations, min_slack, max_slack)."""
+    rng = random.Random(seed)
+    n = b.n
+    slacks = []
+    for _ in range(trials):
+        k = GroupElement.identity(n)
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(n), 2))
+            t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            k = k * _rotation(n, i, j, t)
+        slacks.append(radical_orbit_point(a_component(k * b.element), b))
+    return trials, 0, min(slacks), max(slacks)

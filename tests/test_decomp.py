@@ -238,6 +238,51 @@ def test_a_component_forms_only_a(monkeypatch):
     assert a_component(g) == expected
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rational_gram_schmidt_makes_no_tower_product(n, monkeypatch):
+    """Rational input runs Gram-Schmidt over Q: no TowerScalar product is
+    formed inside it."""
+    g = rand_sl(random.Random(f"gram-schmidt-{n}"), n)
+    gram_schmidt, tower_mul = rcg.decomp._gram_schmidt, TowerScalar.__mul__
+    inside = []
+
+    def watched(m):
+        inside.append(True)
+        try:
+            return gram_schmidt(m)
+        finally:
+            inside.pop()
+
+    def product(a, b):
+        if inside:
+            raise AssertionError("TowerScalar product inside _gram_schmidt")
+        return tower_mul(a, b)
+
+    monkeypatch.setattr(rcg.decomp, "_gram_schmidt", watched)
+    monkeypatch.setattr(TowerScalar, "__mul__", product)
+    monkeypatch.setattr(TowerScalar, "__rmul__", product)
+    kau, uak, a = iwasawa_kau(g), iwasawa_uak(g), a_component(g)
+    monkeypatch.undo()
+    kau.certify(g)
+    uak.certify(g)
+    assert a == uak.a
+
+
+def test_gram_schmidt_over_q_matches_the_tower_loop():
+    """The rational path and the loop over depth-0 tower scalars (the
+    same body, kept from lowering by one radical entry that is then
+    removed) give the same qhat, norms and u."""
+    rng = random.Random(77)
+    for n in (2, 3, 5):
+        m = rand_sl(rng, n).mat
+        qhat, norm2, u = rcg.decomp._gram_schmidt(m)
+        r = sqrt_positive(2)
+        padded = Matrix.tower([[x + r - r if (i, j) == (0, 0) else x for j, x in enumerate(row)]
+                               for i, row in enumerate(m.data)])
+        assert rcg.linalg._lower(padded)[0] is TOWER
+        assert rcg.decomp._gram_schmidt(padded) == (qhat, norm2, u)
+
+
 @pytest.mark.parametrize("decompose", [a_component, cartan_kak], ids=lambda f: f.__name__)
 def test_a_factor_refuses_determinant_two(decompose):
     stretched = Matrix.diagonal([4, 1, F(1, 2)]) * rotation(3, 0, 1, F(1, 2)).mat

@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rcg.decomp
 import rcg.kostant
-from rcg.errors import DomainError, InternalError
+import rcg.tower
+from rcg.errors import DomainError, IndeterminateSign, InternalError
 from rcg.kostant import (
     ChamberPoint,
     chamber_projection,
@@ -13,10 +19,13 @@ from rcg.kostant import (
     kostant_member,
     orbit_sample_check,
 )
+from rcg.linalg import PUISEUX, TOWER, Matrix, _exact_key
 from rcg.puiseux import PuiseuxScalar, X
 from rcg.slgroup import GroupElement
+from rcg.tower import sqrt_positive
 
 from _hull_oracle import hull_oracle, ln_interval
+from _references import radical_member, radical_orbit_point, radical_orbit_sample_check
 
 F = Fraction
 mono = PuiseuxScalar.monomial
@@ -212,3 +221,115 @@ def test_chamber_projection_tests_its_input_once(monkeypatch):
     proj = chamber_projection(a)
     assert calls == [a]
     assert proj.diagonal() == [4, F(1, 2), F(1, 2)] and proj.n == 3
+
+
+# ---------------------------------------------------------------------------
+# squared characters against the characters themselves (_references)
+
+#: a positive tower value p/q sqrt(r); r = 1 gives a rational
+radical_values = st.builds(
+    lambda p, q, r: F(p, q) * sqrt_positive(r),
+    st.integers(1, 9), st.integers(1, 9), st.sampled_from([1, 1, 2, 3, 5, 6]),
+)
+
+
+def _unit_diagonal(values, domain):
+    """values and 1/prod(values): a diagonal of determinant one."""
+    return list(values) + [domain.invert(reduce(mul, values, domain.one))]
+
+
+def _chamber_point(values, domain):
+    diag = sorted(_unit_diagonal(values, domain), key=_exact_key, reverse=True)
+    return ChamberPoint(GroupElement(Matrix.diagonal(diag, domain)))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (IndeterminateSign, InternalError) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def tower_pairs(draw):
+    n = draw(st.integers(2, 4))
+    a, b = (draw(st.lists(radical_values, min_size=n - 1, max_size=n - 1)) for _ in "ab")
+    return _chamber_point(a, TOWER), _chamber_point(b, TOWER)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_pairs())
+def test_squared_member_verdict_is_the_radical_one_over_the_tower(pair):
+    a, b = pair
+    assert kostant_member(a, b) == radical_member(a, b)
+    assert kostant_member(a, a) and radical_member(a, a)
+
+
+#: a positive series c X^e (+ c' X^(e-1)); c from radical_values
+series_values = st.builds(
+    lambda c, e, c2: mono(c, e) + (mono(c2, e - 1) if c2 else 0),
+    radical_values, st.integers(-3, 3), st.sampled_from([0, 0, 1, F(-1, 2)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(*(st.lists(series_values, min_size=n - 1, max_size=n - 1)
+                          for _ in "ab"))))
+def test_squared_member_verdict_is_the_radical_one_over_puiseux(values):
+    a, b = (_chamber_point(v, PUISEUX) for v in values)
+    assert _outcome(lambda: kostant_member(a, b)) == _outcome(lambda: radical_member(a, b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.lists(radical_values, min_size=n - 1, max_size=n - 1)),
+    st.integers(0, 10**6))
+def test_orbit_report_is_the_radical_one(values, seed):
+    """Same trials and violations, slacks within the 10^-12 width of
+    _slack, on chamber points with radicals."""
+    b = _chamber_point(values, TOWER)
+    report = orbit_sample_check(b, 2, seed=seed)
+    trials, violations, low, high = radical_orbit_sample_check(
+        b, 2, seed, rcg.decomp.a_component)
+    assert (report.trials, report.violations) == (trials, violations)
+    assert abs(report.min_slack - low) <= 1e-12
+    assert abs(report.max_slack - high) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(st.lists(radical_values, min_size=n - 1, max_size=n - 1),
+                        st.lists(radical_values, min_size=n - 1, max_size=n - 1),
+                        st.permutations(range(n)))))
+def test_orbit_verdict_is_the_radical_one_for_any_a_component(drawn):
+    """The seam a_component returns an A-element in any order; the sampler
+    raises exactly when the characters of its chamber projection exceed
+    b's, and otherwise reports their smallest gap."""
+    a_values, b_values, order = drawn
+    b = _chamber_point(b_values, TOWER)
+    diag = _unit_diagonal(a_values, TOWER)
+    a = GroupElement(Matrix.diagonal([diag[i] for i in order]))
+    expected = _outcome(lambda: radical_orbit_point(a, b))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rcg.kostant, "a_component", lambda g: a)
+        got = _outcome(lambda: orbit_sample_check(b, 1, seed=0))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert abs(got.min_slack - expected) <= 1e-12 and got.min_slack == got.max_slack
+
+
+def test_orbit_sample_check_on_rational_b_merges_no_tower(monkeypatch):
+    """The A-component's squares are rational, so they sort and compare as
+    Fractions, and each slack holds one radical."""
+    rng = random.Random(31)
+    points = [rand_chamber(rng, n) for n in (2, 3, 4) for _ in range(3)]
+
+    def refuse(*_):
+        raise AssertionError("tower merge in the orbit sampler")
+
+    monkeypatch.setattr(rcg.tower, "_merge", refuse)
+    for seed, b in enumerate(points):
+        report = orbit_sample_check(b, 5, seed=seed)
+        assert report.violations == 0 and report.min_slack >= 0

@@ -542,3 +542,28 @@ def test_det_sign_of_v_is_read_at_x0():
     # det(V0) = 0: the sign of det(V) is not at X^0
     with pytest.raises(IndeterminateSign):
         _special_orthogonal([[p(1), p(0)], [p(0), X ** -1]], PUISEUX)
+
+
+@pytest.mark.parametrize("domain", [linalg.TOWER, linalg.PUISEUX, linalg._Q],
+                         ids=["tower", "puiseux", "rationals"])
+def test_dot_returns_the_domains_type_for_empty_and_plain_input(domain):
+    kind = type(domain.zero)
+    empty, plain = linalg._dot((), (), domain), linalg._dot([1, 2], [F(1, 2), 3], domain)
+    assert type(empty) is kind and empty == 0
+    assert type(plain) is kind and plain == F(13, 2)
+
+
+def test_dot_of_series_makes_one_sum_fewer_than_it_has_products(monkeypatch):
+    u = [X + 1, 2 * X, X.invert()]
+    v = [X, 1 - X.invert(), 3 * X]
+    expected = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    sums = []
+    add = PuiseuxScalar.__add__
+
+    def counting(a, b):
+        sums.append(b)
+        return add(a, b)
+
+    monkeypatch.setattr(PuiseuxScalar, "__add__", counting)
+    assert linalg._dot(u, v, linalg.PUISEUX) == expected
+    assert len(sums) == 2
