@@ -8,17 +8,15 @@ vanish), then each factor against its subgroup predicate.  The caller that
 prints a result (the CLI) runs it.
 
 A K factor's columns each carry their own radical, so k^T k or k a u
-merges n one-radical towers.  Every K factor built here therefore keeps
-the scaled form B diag(s) it was built from (linalg._Scaled): qhat
-diag(1/r_j) for the Iwasawa k (UAK's k keeps the form of the KAU k it is
-flipped from); for the Cartan k1 and k2 = V^T, B1 diag(rho_j / c_j) and
-the lift's V = W diag(rho_j) over the Puiseux field, and g F diag(rho_j /
-a_jj) and the eigenvector frame's V = F diag(rho_j) over the tower.  B
-lies in g's own field, or for the tower Cartan in the eigenvalues' tower.
-certify checks the product and K membership from the forms in that field,
-once each printed entry equals its base_ij s_j; a factor without a form
-(built by a caller or swapped in with dataclasses.replace) is checked on
-its matrix.
+merges n one-radical towers.  Every K factor built here but the tower
+Cartan k1 and k2 therefore keeps the scaled form B diag(s) it was built
+from (linalg._Scaled), B over g's own field: qhat diag(1/r_j) for the
+Iwasawa k (UAK's k keeps the form of the KAU k it is flipped from), and
+B1 diag(rho_j / c_j) and the lift's V = W diag(rho_j) for the Puiseux
+Cartan k1 and k2 = V^T.  certify checks the product and K membership from
+the forms over g's own field, once each printed entry equals its
+base_ij s_j; a factor without a form (built by a caller, swapped in with
+dataclasses.replace, or a tower Cartan factor) is checked on its matrix.
 
 A decomposition checks only det = 1, once per factor, in the field where
 that factor was computed: a factor whose shape or construction fixes it is
@@ -58,10 +56,10 @@ from .linalg import (
     _lift_scalar,
     _lower,
     _Scaled,
-    _sym_eigen_frame,
     _x0_det_sign,
     det,
     sym_eigen_lift,
+    sym_eigen_tower,
 )
 from .puiseux import PuiseuxScalar
 from .slgroup import (
@@ -74,7 +72,6 @@ from .slgroup import (
     member_N,
     member_U,
 )
-from .tower import TowerScalar
 
 
 class _Factorisation:
@@ -151,25 +148,18 @@ def _iwasawa_certificate(factor: GroupElement, k: Matrix, a: Matrix, u: Matrix, 
         raise InternalError("a is not in its subgroup")
 
 
-def _lowered(x):
-    """x over depth-0 scalars when it is rational (a tower scalar) or all
-    its coefficients are (a series), else x."""
-    if isinstance(x, TowerScalar):
-        return TowerScalar.from_fraction(x.coeffs[0]) if x.is_rational() else x
+def _rational_coefficients(x: PuiseuxScalar) -> PuiseuxScalar:
+    """x over depth-0 coefficients when all of x's are rational, else x."""
     if all(c.is_rational() for _, c in x.terms):
         return PuiseuxScalar(((e, c.coeffs[0]) for e, c in x.terms), x.tail)
     return x
 
 
-def _positive_det(form: _Scaled) -> bool:
-    """det(base) prod(scales) > 0.  A tower base is one Cartan frame (in the
-    eigenvalues' tower, times g for k1), whose determinant sign is read
-    exactly; a Puiseux base has its sign read at X^0 (_x0_det_sign) and
+def _positive_x0_det(form: _Scaled) -> bool:
+    """det(base) prod(scales) > 0, the sign of det(base) read at X^0 and
     taken as positive when unknown, as member_K does."""
     if not all(s.sign() > 0 for s in form.scales):
         return False
-    if form.base.domain is TOWER:
-        return det(form.base).sign() > 0
     try:
         return _x0_det_sign(form.base.data) > 0
     except IndeterminateSign:
@@ -177,22 +167,22 @@ def _positive_det(form: _Scaled) -> bool:
 
 
 def _cartan_certificate(res: "KAKResult", g: Matrix) -> None:
-    """k1 a k2 = g and k1, k2 in K from the Cartan forms k1 = B1 diag(t)
-    and k2^T = W diag(rho), over g's own field (the tower Cartan: over the
-    eigenvalues' tower):
-    - k1 and k2 orthogonal (_Scaled.column_norms) with det +1
-      (_positive_det);
+    """k1 a k2 = g and k1, k2 in K from the Puiseux Cartan forms k1 =
+    B1 diag(t) and k2^T = W diag(rho), over g's own field:
+    - k1 and k2 orthogonal (_Scaled.column_norms) with det +1: B1's and
+      W's columns are unit vectors times positive constants, so
+      _x0_det_sign reads det's sign;
     - the product: as k2 k2^T = I, k1 a k2 = g iff k1 a = g k2^T, that is
       B1 diag(a_jj t_j / rho_j) = g W once a is diagonal (member_A);
-      a_jj t_j / rho_j is lowered to depth 0 when rational (_lowered): it
-      is the series r_j over the Puiseux field, and 1 over the tower."""
+      a_jj t_j / rho_j = r_j, lowered to g's field
+      (_rational_coefficients)."""
     k1 = _described("k1", res.k1, res.k1.mat)
     k2 = _described("k2", res.k2, res.k2.mat.transpose())
     for name, form in (("k1", k1), ("k2", k2)):
-        if form.column_norms() is None or not _positive_det(form):
+        if form.column_norms() is None or not _positive_x0_det(form):
             raise InternalError(f"{name} is not in its subgroup")
     roots = [
-        _lowered(res.a.mat.data[j][j] * (t * rho.inv()))
+        _rational_coefficients(res.a.mat.data[j][j] * (t * rho.inv()))
         for j, (t, rho) in enumerate(zip(k1.scales, k2.scales))
     ]
     if not _all_vanish(_Scaled(k1.base, roots).matrix() - g * k2.base):
@@ -372,10 +362,7 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
     """g = k1 a k2 with a the descending singular-value diagonal.
 
     Tower inputs need a tower-solvable simple spectrum of g^T g, and the
-    result is exact.  The eigenvectors are F_j rho_j, F the frame in the
-    eigenvalues' tower and rho_j = 1/|F_j| (linalg._sym_eigen_frame), and
-    column j of k1 is (g F)_j (rho_j / a_jj); k1 and k2 keep these scaled
-    forms for certify.
+    result is exact.
 
     Puiseux inputs need a simple leading spectrum.  The eigen data of g^T g
     are lifted to the relative order `order` (default: the order of g's
@@ -419,12 +406,19 @@ def cartan_kak(g: GroupElement, order=None) -> KAKResult:
         k1 = _Scaled(Matrix(dom, list(zip(*cols))), scales)
         k2 = _formed(lift.eigenvectors.transpose(), lift._frame)
         return KAKResult(_formed(k1.matrix(), k1), a, k2)
-    lams, v = _sym_eigen_frame(s)
+    lams, vmat = sym_eigen_tower(s)
     a_diag, a = _a_factor(lams, dom)
-    scales = [rho * dom.invert(x) for rho, x in zip(v.scales, a_diag)]
-    k1 = _Scaled(g.mat * v.base, scales)
-    k2 = _formed(v.matrix().transpose(), v)
-    return KAKResult(_formed(k1.matrix(), k1), a, k2)
+    inv_a = [dom.invert(x) for x in a_diag]
+    n = g.n
+    k2 = GroupElement._unchecked(vmat.transpose())
+    k1 = Matrix(
+        dom,
+        [
+            [_dot(g.mat.row(i), vmat.col(j), dom) * inv_a[j] for j in range(n)]
+            for i in range(n)
+        ],
+    )
+    return KAKResult(GroupElement._unchecked(k1), a, k2)
 
 
 def kak_uniqueness_check(g: GroupElement, res1: KAKResult, res2: KAKResult) -> GroupElement:

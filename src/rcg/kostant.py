@@ -7,14 +7,14 @@ root system; the derivation is checked once per n.  The test suite checks
 this test against an independent convex-hull oracle over certified rational
 logarithms (Kostant's hull characterisation).
 
-Both sides of each inequality are positive, so kostant_member and the
-orbit sampler decide it on squares, chi_j(a)^2 = chi_j(a^2) <= chi_j(b)^2.
-The A-component a of a rational orbit point has entries sqrt(norm2_j), one
-radical each, and rational squares: the sampler sorts those squares into
-the chamber and compares Fractions, with no product of radicals and no
-tower merge; only the reported slack chi_j(b) - sqrt(chi_j(a)^2) takes one
-square root.  The CLI's kostant-check reports the gaps chi_j(b) - chi_j(a)
-themselves (_char_gaps).
+kostant_member and the CLI's kostant-check decide and report the gaps
+chi_j(b) - chi_j(a) themselves (_char_gaps).  Both sides of each
+inequality are positive, so the orbit sampler decides it on squares,
+chi_j(a)^2 = chi_j(a^2) <= chi_j(b)^2: the A-component a of a rational
+orbit point has entries sqrt(norm2_j), one radical each, and rational
+squares, which the sampler sorts into the chamber and compares as
+Fractions, with no product of radicals and no tower merge; only the
+reported slack chi_j(b) - sqrt(chi_j(a)^2) takes one square root.
 
 The orbit sampler checks nothing twice: its rotations are built unchecked
 over Q (c^2 + s^2 = 1 fixes each determinant), and a_component certifies
@@ -31,10 +31,9 @@ from operator import mul
 
 from .decomp import a_component
 from .errors import DomainError, InternalError
-from .linalg import _Q, TOWER, Matrix, _exact_key, _lift, _product
+from .linalg import _Q, TOWER, Matrix, _depth0, _exact_key, _lift, _product
 from .rootsys import _primitive, build, cone_data
 from .slgroup import GroupElement, member_A
-from .tower import TowerScalar
 
 F = Fraction
 
@@ -144,17 +143,6 @@ def _char_gaps(a: ChamberPoint, b: ChamberPoint):
     return (char_value(vec, b) - char_value(vec, a) for vec in kostant_chars(a.n))
 
 
-def _square(x):
-    """x^2, lowered to a depth-0 tower scalar when it is rational: the
-    square of a_component's sqrt(norm2_j) is the rational norm2_j for
-    rational input, and squares of different towers then compare as
-    Fractions, with no tower merge."""
-    sq = x * x
-    if isinstance(sq, TowerScalar) and len(sq.coeffs) > 1 and sq.is_rational():
-        return TowerScalar.from_fraction(sq.coeffs[0])
-    return sq
-
-
 def _slack(gap) -> float:
     """A tower gap as a float: the midpoint of a rational enclosure of
     width 10^-12."""
@@ -164,13 +152,8 @@ def _slack(gap) -> float:
 
 def kostant_member(a: ChamberPoint, b: ChamberPoint) -> bool:
     """True iff chi_j(a) <= chi_j(b) for every convexity character (exact
-    sign tests; works over both scalar fields).  Both sides are positive,
-    so each is decided on its square, chi_j(a)^2 <= chi_j(b)^2."""
-    if a.n != b.n:
-        raise DomainError("dimension mismatch")
-    dom = a.element.mat.domain
-    squared = [[_square(c) for c in _chars(p.diagonal(), dom)] for p in (a, b)]
-    return all((cb - ca).sign() >= 0 for ca, cb in zip(*squared))
+    sign tests; works over both scalar fields)."""
+    return all(gap.sign() >= 0 for gap in _char_gaps(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +195,7 @@ def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSamp
     n = b.n
     dom = b.element.mat.domain
     b_chars = _chars(b.diagonal(), dom)
-    b_squares = [_square(c) for c in b_chars]
+    b_squares = [_depth0(c * c) for c in b_chars]
     min_slack = None
     max_slack = None
     for _ in range(trials):
@@ -224,7 +207,8 @@ def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSamp
             rows = rotation if rows is None else _product(_Q, rows, rotation)
         k = GroupElement._unchecked(_lift(_Q, rows))
         a = a_component(k * b.element)
-        squares = sorted((_square(a[i, i]) for i in range(n)), key=_exact_key, reverse=True)
+        entries = (a[i, i] for i in range(n))
+        squares = sorted((_depth0(x * x) for x in entries), key=_exact_key, reverse=True)
         a_squares = _chars(squares, dom)  # chi_j(a^2) = chi_j(a)^2
         if any((cb - ca).sign() < 0 for ca, cb in zip(a_squares, b_squares)):
             raise InternalError("convexity violation")

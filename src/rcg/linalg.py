@@ -292,12 +292,7 @@ class Matrix:
 def _dot(u, v, domain):
     """sum(u_i v_i), begun from the first product: over the Puiseux field a
     sum that starts from zero costs one more lattice merge.  An empty sum is
-    domain.zero, and a sum of plain numbers is coerced into the domain.
-    Over _Q both vectors are scaled to integers (_integer_scaled), so the
-    sum is one integer inner product and one Fraction."""
-    if domain is _Q:
-        (a, da), (b, db) = _integer_scaled(u), _integer_scaled(v)
-        return Fraction(sum(map(mul, a, b)), da * db)
+    domain.zero, and a sum of plain numbers is coerced into the domain."""
     products = map(mul, u, v)
     acc = next(products, None)
     if acc is None:
@@ -411,6 +406,14 @@ def _lift(domain, rows) -> Matrix:
 
 def _lift_scalar(domain, x):
     return TowerScalar(_QQ, (x,)) if domain is _Q else x
+
+
+def _depth0(x):
+    """x as a depth-0 tower scalar when it is a rational tower scalar of any
+    depth (TowerScalar.as_fraction), else x: rational values of different
+    towers then meet with no tower merge."""
+    q = x.as_fraction() if isinstance(x, TowerScalar) else None
+    return x if q is None else TowerScalar(_QQ, (q,))
 
 
 def _sum(domain, xs):
@@ -730,14 +733,6 @@ def sym_eigen_tower(s: Matrix):
     """Exact eigen decomposition of a symmetric tower matrix with distinct
     eigenvalues.  Returns (eigenvalues descending, V) with V orthonormal,
     det(V) = +1 and s V = V diag(eigenvalues)."""
-    lams, v = _sym_eigen_frame(s)
-    return lams, v.matrix()
-
-
-def _sym_eigen_frame(s: Matrix):
-    """sym_eigen_tower with V in its scaled form _Scaled(F, [rho_j]): F the
-    eigenvector frame, each column in its eigenvalue's tower and det(F) >
-    0, and rho_j = 1/|F_j|, the one radical of column j."""
     _check_symmetric(s)
     n = s.nrows
     lams = tower_roots(char_poly(s))
@@ -756,7 +751,9 @@ def _sym_eigen_frame(s: Matrix):
     # by a positive 1/norm, which carries a radical of its own
     frame = _special_orthogonal(cols, TOWER)
     inv_norms = [tower_sqrt(_dot(v, v, TOWER)).inv() for v in cols]
-    return lams, _Scaled(frame, inv_norms)
+    return lams, Matrix(
+        TOWER, [[x * inv_norms[j] for j, x in enumerate(r)] for r in frame.data]
+    )
 
 
 def _orient(v):

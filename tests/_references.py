@@ -1,9 +1,9 @@
 """Reference routines that the tests check the library against and that
 the library itself does not use: the rank-matrix Bruhat cell, the six SL_3
 Weyl representatives and the quotient N/M, which moved here from
-rcg.decomp and rcg.slgroup unchanged, and the Kostant test decided on the
-characters themselves, radicals and all, which rcg.kostant decides on
-their squares."""
+rcg.decomp and rcg.slgroup unchanged, and the orbit sampler's Kostant test
+decided on the characters themselves, radicals and all, which
+rcg.kostant's sampler decides on their squares."""
 
 import random
 from fractions import Fraction
@@ -79,12 +79,6 @@ def n_mod_m_classes(n_list):
             row.append(idx)
         table.append(row)
     return reps, table
-
-
-def radical_member(a, b) -> bool:
-    """chi_j(a) <= chi_j(b) for every convexity character, each gap
-    chi_j(b) - chi_j(a) formed with its radicals and its sign tested."""
-    return all(gap.sign() >= 0 for gap in _char_gaps(a, b))
 
 
 def radical_orbit_point(a: GroupElement, b):
