@@ -54,7 +54,8 @@ from .linalg import (
     _dot,
     _lift,
     _lift_scalar,
-    _lower,
+    _over_q,
+    _rearranged,
     _Scaled,
     _x0_det_sign,
     det,
@@ -250,9 +251,10 @@ def _gram_schmidt(m: Matrix):
     """Gram-Schmidt on the columns of m, division-only (no radicals): the
     matrix qhat of the orthogonal columns, their squared norms and the
     unitriangular u with m = qhat u.  Everything stays in m's own tower: a
-    rational m runs over _Q (linalg._lower), and qhat, the norms and u are
-    lifted to depth-0 tower scalars once, at the end."""
-    dom, rows = _lower(m)
+    rational m runs over _Q (linalg._over_q), and qhat and u are lifted to
+    integer forms and the norms to depth-0 tower scalars once, at the
+    end."""
+    dom, rows = _over_q(m)
     n = m.nrows
     cols = list(zip(*rows))
     qhat = []
@@ -271,7 +273,7 @@ def _gram_schmidt(m: Matrix):
         inv_norm2.append(dom.invert(n2))
     return (
         _lift(dom, list(zip(*qhat))),
-        [_lift_scalar(dom, x) for x in norm2],
+        [_lift_scalar(x) for x in norm2],
         _lift(dom, u_rows),
     )
 
@@ -323,11 +325,7 @@ def iwasawa_kau(g: GroupElement) -> KAUResult:
 
 def _flip(m: Matrix) -> Matrix:
     """Conjugation by the antidiagonal permutation J: reverse rows and columns."""
-    n = m.nrows
-    return Matrix(
-        m.domain,
-        [[m.data[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)],
-    )
+    return _rearranged(m, lambda rows: [row[::-1] for row in reversed(rows)])
 
 
 def iwasawa_uak(g: GroupElement) -> UAKResult:

@@ -31,7 +31,7 @@ from operator import mul
 
 from .decomp import a_component
 from .errors import DomainError, InternalError
-from .linalg import _Q, TOWER, Matrix, _depth0, _exact_key, _lift, _product
+from .linalg import _Q, TOWER, Matrix, _depth0, _exact_key, _lift
 from .rootsys import _primitive, build, cone_data
 from .slgroup import GroupElement, member_A
 
@@ -199,13 +199,13 @@ def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSamp
     min_slack = None
     max_slack = None
     for _ in range(trials):
-        rows = None
+        k = None
         for _ in range(rng.randint(1, 3)):
             i, j = sorted(rng.sample(range(n), 2))
             t = F(rng.randint(-9, 9), rng.randint(1, 9))
-            rotation = _rotation(n, i, j, t)
-            rows = rotation if rows is None else _product(_Q, rows, rotation)
-        k = GroupElement._unchecked(_lift(_Q, rows))
+            rotation = _lift(_Q, _rotation(n, i, j, t))
+            k = rotation if k is None else k * rotation
+        k = GroupElement._unchecked(k)
         a = a_component(k * b.element)
         entries = (a[i, i] for i in range(n))
         squares = sorted((_depth0(x * x) for x in entries), key=_exact_key, reverse=True)

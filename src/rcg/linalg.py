@@ -18,28 +18,34 @@ Newton iteration to a requested relative order (default: the matrix's
 domain order).  Both return eigenvectors with det(V) = +1.
 
 The rational kernel.  A tower scalar of depth 0 is a Fraction, and the
-nilpotent calculus on rational input meets no others.  The Matrix
-operations (products, sums, differences, scalings, trace, char_poly, and
-through _eliminate rank, kernel, solve, inverse and det from 4x4 on) lower
-their operands once with _lower: when every entry of every operand has
-depth 0, the operation runs its one generic body over _Q, a private domain
-of plain Fractions, and _lift wraps the results back into depth-0
-TowerScalars without coercing them again.  The choice depends only on the
-input: an operand with a radical, and every Puiseux matrix, runs the same
-body over its own domain and scalars.  A product over _Q scales each row of
-the left factor and each column of the right one to integers by the lcm of
-its denominators, so each result entry is one integer inner product and one
-Fraction.  Every Fraction sum and product normalises by a gcd, so an inner
-product over Fractions pays two per term; on dense 5x5 matrices of small
-rationals it took about eight times as long.
+nilpotent calculus on rational input meets no others.  A tower matrix whose
+entries all have depth 0 has one integer form (rows, d): integer rows over
+one common denominator d > 0, divided by the gcd of d and every entry, so
+two such matrices are equal iff their forms are.  _lower computes it once
+and keeps it on the matrix.  Products (integer inner products over
+d_a d_b), sums and differences (over lcm(d_a, d_b)), rational scalings,
+negation, transposes, == and the zero tests read and write only forms, and
+so do the constructors given ints and Fractions (identity, diagonal, unit,
+zeros, _lift).  Such a result builds its data, depth-0 TowerScalars, only
+when they are first read.  _eliminate, the one elimination, runs Bareiss's
+fraction-free Gauss-Jordan step on the integer rows (Bareiss (1968),
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination"): row <- (p row - f pivot_row) / prev, an exact integer
+division, so every pivot ends equal to the last one; rank, kernel, solve,
+inverse and det read their results off those rows.  Trace, char_poly,
+Gram-Schmidt and the root sweep work on Fractions (_over_q), read off the
+data when they are built, with no form computed.  An operand with a
+radical, and every Puiseux matrix, runs the same bodies on its own domain
+and scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
-from operator import mul
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import (
     DegenerateLeadingSpectrum,
@@ -140,9 +146,10 @@ class PuiseuxDomain(ScalarDomain):
 
 
 class _RationalDomain(ScalarDomain):
-    """Q as plain Fractions: the domain that a tower matrix of depth-0
-    entries is lowered to.  No Matrix carries it, and it has only the
-    operations that elimination needs."""
+    """Q as plain Fractions: the domain of the rows that _over_q reads off
+    a tower matrix of depth-0 entries (Gram-Schmidt and the root sweep work
+    on them).  No Matrix carries it, and it has only the operations those
+    need."""
 
     def coerce(self, x):
         return Fraction(x)
@@ -154,15 +161,31 @@ class _RationalDomain(ScalarDomain):
         return 1 / q
 
 
+class _IntegerRows(ScalarDomain):
+    """The integer rows of a form: _eliminate runs Bareiss's step on them,
+    and det's closed forms multiply them.  No Matrix carries it."""
+
+    def coerce(self, x):
+        return x
+
+    def is_zero(self, x):
+        return not x
+
+
 TOWER = _TowerDomain()
 PUISEUX = PuiseuxDomain()
 _Q = _RationalDomain()
+_Z = _IntegerRows()
 
 
 class Matrix:
-    """Immutable dense matrix over one scalar domain."""
+    """Immutable dense matrix over one scalar domain.
 
-    __slots__ = ("domain", "data", "nrows", "ncols")
+    A tower matrix may hold its integer form in _form (the rational kernel
+    of this module): None until _lower computes it, False when it has none.
+    A matrix built from its form alone makes its data on first read."""
+
+    __slots__ = ("domain", "data", "nrows", "ncols", "_form")
 
     def __init__(self, domain: ScalarDomain, rows):
         data = tuple(tuple(domain.coerce(x) for x in row) for row in rows)
@@ -174,6 +197,18 @@ class Matrix:
         self.data = data
         self.nrows = len(data)
         self.ncols = len(data[0])
+        self._form = None if domain is TOWER else False
+
+    def __getattr__(self, name):
+        """The data of a matrix built from its integer form: depth-0
+        TowerScalars, made and kept on first read."""
+        if name != "data":
+            raise AttributeError(name)
+        rows, d = self._form
+        self.data = data = tuple(
+            tuple(TowerScalar(_QQ, (Fraction(x, d),)) for x in row) for row in rows
+        )
+        return data
 
     # -- constructors --------------------------------------------------------
 
@@ -189,9 +224,7 @@ class Matrix:
     def diagonal(entries, domain: ScalarDomain = TOWER) -> "Matrix":
         """The square matrix with these diagonal entries, zero elsewhere."""
         n = len(entries)
-        return Matrix(
-            domain, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return _lift(domain, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
     def identity(n: int, domain: ScalarDomain = TOWER) -> "Matrix":
@@ -200,13 +233,13 @@ class Matrix:
     @staticmethod
     def unit(n: int, i: int, j: int, x=1, domain: ScalarDomain = TOWER) -> "Matrix":
         """x E_ij: the n x n matrix with x at (i, j), zero elsewhere."""
-        return Matrix(
+        return _lift(
             domain, [[x if (a, b) == (i, j) else 0 for b in range(n)] for a in range(n)]
         )
 
     @staticmethod
     def zeros(n: int, m: int, domain: ScalarDomain = TOWER) -> "Matrix":
-        return Matrix(domain, [[0] * m for _ in range(n)])
+        return _lift(domain, [[0] * m for _ in range(n)])
 
     def to_puiseux(self) -> "Matrix":
         """Constant embedding of a tower matrix into the Puiseux field."""
@@ -230,52 +263,72 @@ class Matrix:
         return self.nrows == self.ncols
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.domain, list(zip(*self.data)))
+        return _rearranged(self, lambda rows: zip(*rows))
 
     def trace(self):
-        domain, rows = _lower(self)
-        return _lift_scalar(domain, _sum(domain, [r[i] for i, r in enumerate(rows)]))
+        domain, rows = _over_q(self)
+        return _lift_scalar(_sum([r[i] for i, r in enumerate(rows)], domain))
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _same_shape(self, other):
-        """Both operands lowered together; DomainError unless same shape."""
+    def _combine(self, other, op):
+        """self op other entry by entry, op add or sub; DomainError unless
+        both have the same shape."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DomainError(
                 f"shape mismatch: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}"
             )
-        domain, a, b = _lower_pair(self, other)
-        return domain, zip(a, b)
+        forms = _lower_pair(self, other)
+        if forms:
+            return _from_form(*_form_sum(*forms, op))
+        return Matrix(self.domain, [list(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data)])
 
     def __add__(self, other):
-        domain, pairs = self._same_shape(other)
-        return _lift(domain, [[a + b for a, b in zip(r1, r2)] for r1, r2 in pairs])
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        domain, pairs = self._same_shape(other)
-        return _lift(domain, [[a - b for a, b in zip(r1, r2)] for r1, r2 in pairs])
+        return self._combine(other, sub)
 
     def __neg__(self):
+        form = self._form
+        if form:
+            rows, d = form
+            return _from_form([[-a for a in r] for r in rows], d)
         return Matrix(self.domain, [[-a for a in r] for r in self.data])
+
+    def _scaled(self, s, op):
+        """Each entry a as op(a, s): over the integer form when the matrix
+        has one and s is an int, a Fraction or a depth-0 tower scalar."""
+        q = _rational(s)
+        form = q is not None and _lower(self)
+        if form:
+            rows, d = form
+            p = q.numerator
+            return _from_form(*_reduced([[a * p for a in r] for r in rows], d * q.denominator))
+        s = self.domain.coerce(s)
+        return Matrix(self.domain, [[op(a, s) for a in r] for r in self.data])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DomainError("dimension mismatch")
-            domain, a, b = _lower_pair(self, other)
-            return _lift(domain, _product(domain, a, b))
-        domain, rows, s = _lower_scalar(self, other)
-        return _lift(domain, [[a * s for a in r] for r in rows])
+            forms = _lower_pair(self, other)
+            if forms:
+                return _from_form(*_form_product(*forms))
+            return Matrix(self.domain, _product(self.domain, self.data, other.data))
+        return self._scaled(other, mul)
 
     def __rmul__(self, other):
-        domain, rows, s = _lower_scalar(self, other)
-        return _lift(domain, [[s * a for a in r] for r in rows])
+        return self._scaled(other, lambda a, s: s * a)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
+        forms = _lower_pair(self, other)
+        if forms:
+            return forms[0] == forms[1]
         return all(
             a == b for r1, r2 in zip(self.data, other.data) for a, b in zip(r1, r2)
         )
@@ -289,22 +342,43 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}]({self})"
 
 
-def _dot(u, v, domain):
-    """sum(u_i v_i), begun from the first product: over the Puiseux field a
-    sum that starts from zero costs one more lattice merge.  An empty sum is
+#: the slot that holds a matrix's data; reading it builds nothing
+_DATA_SLOT = Matrix.data
+
+
+def _held_data(m: Matrix):
+    """m.data when it has been built, else None."""
+    try:
+        return _DATA_SLOT.__get__(m)
+    except AttributeError:
+        return None
+
+
+def _sum(xs, domain):
+    """sum(xs), begun from the first term: over the Puiseux field a sum that
+    starts from zero costs one more lattice merge.  An empty sum is
     domain.zero, and a sum of plain numbers is coerced into the domain."""
-    products = map(mul, u, v)
-    acc = next(products, None)
+    terms = iter(xs)
+    acc = next(terms, None)
     if acc is None:
         return domain.zero
-    for p in products:
-        acc = acc + p
+    for x in terms:
+        acc = acc + x
     return domain.coerce(acc)
+
+
+def _dot(u, v, domain):
+    """sum(u_i v_i), by _sum."""
+    return _sum(map(mul, u, v), domain)
 
 
 def _all_vanish(m: Matrix) -> bool:
     """True iff every known entry of m vanishes (domain.vanishes): exactly
-    zero over the tower; never raises IndeterminateSign."""
+    zero over the tower, read off the integer form when m holds one; never
+    raises IndeterminateSign."""
+    form = m._form
+    if form:
+        return not any(map(any, form[0]))
     return all(m.domain.vanishes(x) for row in m.data for x in row)
 
 
@@ -343,11 +417,11 @@ class _Scaled:
         known term counts), else None.  Rational dot products run over
         _Q."""
         dom = self.base.domain
-        lowered, rows = _lower(self.base)
+        lowered, rows = _over_q(self.base)
         cols = list(zip(*rows))
 
         def dot(i, j):
-            return _lift_scalar(lowered, _dot(cols[i], cols[j], lowered))
+            return _lift_scalar(_dot(cols[i], cols[j], lowered))
 
         n = len(cols)
         if not all(dom.vanishes(dot(i, j)) for i in range(n) for j in range(i + 1, n)):
@@ -359,53 +433,100 @@ class _Scaled:
 
 
 # ---------------------------------------------------------------------------
-# the lowering seam
+# the lowering seam: integer forms
 
-def _lower(m: Matrix):
-    """(_Q, rows of Fractions) when m is a tower matrix whose entries all
-    have depth 0 (a single coordinate), else (m.domain, m.data)."""
-    if m.domain is TOWER and all(len(x.coeffs) == 1 for row in m.data for x in row):
-        return _Q, [[x.coeffs[0] for x in row] for row in m.data]
-    return m.domain, m.data
-
-
-def _lower_pair(a: Matrix, b: Matrix):
-    """(domain, rows of a, rows of b): over _Q only when both lower."""
-    domain, ra = _lower(a)
-    if domain is _Q:
-        db, rb = _lower(b)
-        if db is _Q:
-            return _Q, ra, rb
-    return a.domain, a.data, b.data
+def _integer_form(rows):
+    """The integer form (integer rows, d) of rows of ints and Fractions, d
+    the lcm of their denominators.  Each Fraction is in lowest terms, so no
+    prime divides both d and every entry: the form is reduced."""
+    d = lcm(*[q.denominator for row in rows for q in row])
+    return [[q.numerator * (d // q.denominator) for q in row] for row in rows], d
 
 
-def _lower_scalar(m: Matrix, s):
-    """(domain, rows of m, s): over _Q when m lowers and s is an int, a
-    Fraction or a depth-0 tower scalar."""
-    domain, rows = _lower(m)
-    if domain is _Q:
-        if isinstance(s, TowerScalar) and len(s.coeffs) == 1:
-            return _Q, rows, s.coeffs[0]
-        if isinstance(s, (int, Fraction)):
-            return _Q, rows, Fraction(s)
-    return m.domain, m.data, m.domain.coerce(s)
+def _reduced(rows, d):
+    """The form of the matrix rows / d (d nonzero): rows and d divided by
+    the gcd of d and every entry, d made positive."""
+    g = gcd(d, *chain.from_iterable(rows))
+    if d < 0:
+        g = -g
+    if g != 1:
+        rows = [[x // g for x in row] for row in rows]
+        d //= g
+    return rows, d
 
 
-def _lift(domain, rows) -> Matrix:
-    """The Matrix of rows computed in `domain`; rows over _Q become depth-0
-    TowerScalars directly."""
-    if domain is not _Q:
-        return Matrix(domain, rows)
+def _from_form(rows, d) -> Matrix:
+    """The tower matrix of the reduced form (rows, d); its data are made
+    on first read."""
+    if not rows or not rows[0]:
+        raise DomainError("matrix needs at least one row and column")
     m = object.__new__(Matrix)
     m.domain = TOWER
-    m.data = tuple(tuple(TowerScalar(_QQ, (q,)) for q in row) for row in rows)
-    m.nrows = len(m.data)
-    m.ncols = len(m.data[0])
+    m.nrows = len(rows)
+    m.ncols = len(rows[0])
+    m._form = (rows, d)
     return m
 
 
-def _lift_scalar(domain, x):
-    return TowerScalar(_QQ, (x,)) if domain is _Q else x
+def _lower(m: Matrix):
+    """m's integer form (rows, d), computed from its data once and kept, or
+    None when m is a Puiseux matrix or an entry has depth above 0."""
+    form = m._form
+    if form is None:
+        data = m.data
+        form = m._form = (
+            _integer_form([[x.coeffs[0] for x in row] for row in data])
+            if all(len(x.coeffs) == 1 for row in data for x in row)
+            else False
+        )
+    return form or None
+
+
+def _lower_pair(a: Matrix, b: Matrix):
+    """(form of a, form of b) when both have one, else None."""
+    fa = _lower(a)
+    fb = fa and _lower(b)
+    return (fa, fb) if fb else None
+
+
+def _over_q(m: Matrix):
+    """(_Q, rows of Fractions) when m is a tower matrix whose entries all
+    have depth 0, else (m.domain, m.data).  The Fractions are read off the
+    data when they have been built, else off the form; no form is
+    computed."""
+    data = _held_data(m)
+    if data is None:
+        rows, d = m._form
+        return _Q, [[Fraction(x, d) for x in row] for row in rows]
+    form = m._form
+    if form or (form is None and all(len(x.coeffs) == 1 for row in data for x in row)):
+        return _Q, [[x.coeffs[0] for x in row] for row in data]
+    return m.domain, data
+
+
+def _lift(domain, rows) -> Matrix:
+    """The Matrix of rows computed in `domain`.  Rows over _Q, and tower
+    rows of ints and Fractions, give a matrix that holds only its integer
+    form: no TowerScalar is made until its data are read."""
+    if domain is _Q or (
+        domain is TOWER and all(isinstance(x, (int, Fraction)) for row in rows for x in row)
+    ):
+        return _from_form(*_integer_form(rows))
+    return Matrix(domain, rows)
+
+
+def _lift_scalar(x):
+    """A scalar of the rational kernel (a Fraction) as a depth-0
+    TowerScalar; any other scalar as it is."""
+    return TowerScalar(_QQ, (x,)) if isinstance(x, Fraction) else x
+
+
+def _rational(s):
+    """s as an int or a Fraction when it is one or a depth-0 tower scalar,
+    else None."""
+    if isinstance(s, TowerScalar):
+        return s.coeffs[0] if len(s.coeffs) == 1 else None
+    return s if isinstance(s, (int, Fraction)) else None
 
 
 def _depth0(x):
@@ -416,34 +537,53 @@ def _depth0(x):
     return x if q is None else TowerScalar(_QQ, (q,))
 
 
-def _sum(domain, xs):
-    t = domain.zero
-    for x in xs:
-        t = t + x
-    return t
+def _rearranged(m: Matrix, arrange) -> Matrix:
+    """The matrix whose rows are arrange(rows of m), for an arrange that
+    only moves entries: applied to each of m's data and form it holds."""
+    out = object.__new__(Matrix)
+    out.domain = m.domain
+    form = m._form
+    if form:
+        form = ([list(r) for r in arrange(form[0])], form[1])
+    out._form = form
+    data = _held_data(m)
+    if data is not None:
+        out.data = data = tuple(map(tuple, arrange(data)))
+    rows = form[0] if form else data
+    out.nrows = len(rows)
+    out.ncols = len(rows[0])
+    return out
+
+
+def _form_product(fa, fb):
+    """The form of the product of two forms: integer inner products over
+    d_a d_b, reduced."""
+    (ra, da), (rb, db) = fa, fb
+    cols = list(zip(*rb))
+    return _reduced([[sum(map(mul, row, col)) for col in cols] for row in ra], da * db)
+
+
+def _form_sum(fa, fb, op):
+    """The form of op(a, b), op add or sub, over lcm(d_a, d_b)."""
+    (ra, da), (rb, db) = fa, fb
+    d = lcm(da, db)
+    sa, sb = d // da, d // db
+    if sa == sb == 1:
+        rows = [list(map(op, r1, r2)) for r1, r2 in zip(ra, rb)]
+    else:
+        rows = [[op(x * sa, y * sb) for x, y in zip(r1, r2)] for r1, r2 in zip(ra, rb)]
+    return _reduced(rows, d)
 
 
 def _product(domain, a, b):
-    """Rows of the matrix product a b over `domain`.  Over _Q each row of a
-    and each column of b is scaled to integers by the lcm of its
-    denominators; each entry is then one integer inner product and one
-    Fraction."""
-    if domain is not _Q:
-        cols = list(zip(*b))
-        return [[_dot(row, col, domain) for col in cols] for row in a]
-    rows = [_integer_scaled(r) for r in a]
-    cols = [_integer_scaled(c) for c in zip(*b)]
-    return [
-        [Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols]
-        for r, dr in rows
-    ]
+    """Rows of the matrix product a b over `domain`, one _dot per entry."""
+    cols = list(zip(*b))
+    return [[_dot(row, col, domain) for col in cols] for row in a]
 
 
-def _integer_scaled(fracs):
-    """(integers, d) with integers = d * fracs and d the lcm of the
-    denominators."""
-    d = lcm(*[q.denominator for q in fracs])
-    return [q.numerator * (d // q.denominator) for q in fracs], d
+def _shift_diagonal(rows, c):
+    """The rows of m + c I: c is added to the diagonal entries only."""
+    return [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
 
 
 #: sort key for exact scalars of one field: compares by the sign of a - b
@@ -472,12 +612,22 @@ def _find_pivot(column, start, domain):
     return None
 
 
+def _elimination_rows(m: Matrix):
+    """(_Z, the integer rows of m's form) when m has one, else (m.domain,
+    m.data): the arguments _eliminate takes."""
+    form = _lower(m)
+    return (_Z, form[0]) if form else (m.domain, m.data)
+
+
 def _eliminate(domain, m_rows, rhs_rows=None):
-    """Row echelon form by exact division over `domain`.  Returns (rows,
-    pivots, det_sign, rhs_rows); rhs_rows, when given, are transformed
-    alongside."""
+    """Row echelon form by exact division over `domain`; over _Z (the
+    integer rows of a form) Gauss-Jordan form by Bareiss's step
+    (_bareiss).  Returns (rows, pivots, det_sign, rhs_rows); rhs_rows, when
+    given, are transformed alongside."""
     rows = [list(r) for r in m_rows]
     rrows = [list(r) for r in rhs_rows] if rhs_rows is not None else None
+    if domain is _Z:
+        return _bareiss(rows, rrows)
     nrows, ncols = len(rows), len(rows[0])
     pivots = []
     det_sign = 1
@@ -511,8 +661,55 @@ def _eliminate(domain, m_rows, rhs_rows=None):
     return rows, pivots, det_sign, rrows
 
 
+def _bareiss(rows, rrows):
+    """Gauss-Jordan elimination of integer rows, in place, by Bareiss's
+    fraction-free step.  For the pivot p at (pr, pc), and prev the pivot
+    before it (1 at first), every other row becomes (p row - f pivot_row) /
+    prev, f its entry in column pc; the division is exact, as every entry
+    is then a minor of the input (Sylvester's identity).  So each pivot row
+    is zero in the other pivot columns, every pivot ends equal to the last
+    one, and for a square matrix of full rank that last pivot is det_sign
+    times its determinant."""
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    det_sign = 1
+    prev = 1
+    pr = 0
+    for pc in range(ncols):
+        if pr >= nrows:
+            break
+        idx = next((i for i in range(pr, nrows) if rows[i][pc]), None)
+        if idx is None:
+            continue
+        if idx != pr:
+            rows[pr], rows[idx] = rows[idx], rows[pr]
+            if rrows is not None:
+                rrows[pr], rrows[idx] = rrows[idx], rrows[pr]
+            det_sign = -det_sign
+        p = rows[pr][pc]
+        for i in range(nrows):
+            if i != pr:
+                f = rows[i][pc]
+                rows[i] = _bareiss_step(rows[i], rows[pr], p, f, prev)
+                if rrows is not None:
+                    rrows[i] = _bareiss_step(rrows[i], rrows[pr], p, f, prev)
+        prev = p
+        pivots.append((pr, pc))
+        pr += 1
+    return rows, pivots, det_sign, rrows
+
+
+def _bareiss_step(row, pivot_row, p, f, prev):
+    """(p row - f pivot_row) / prev, an exact integer division."""
+    if f:
+        return [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+    if p == prev:
+        return row
+    return [p * a // prev for a in row]
+
+
 def rank(m: Matrix) -> int:
-    _, pivots, _, _ = _eliminate(*_lower(m))
+    _, pivots, _, _ = _eliminate(*_elimination_rows(m))
     return len(pivots)
 
 
@@ -527,23 +724,34 @@ def det(m: Matrix):
     never tests a truncated entry for zero, so tails propagate into the
     result instead of blocking a pivot.
 
-    From 4x4 on, a tower matrix whose entries all have depth 0 is
-    eliminated on plain Fractions (the rational kernel of this module), and
-    the result is a depth-0 TowerScalar.  The closed forms keep the scalars
-    as given: they cost at most a dozen products, so lowering saves them
-    little."""
+    A tower matrix that holds its integer form (rows, d) takes det(rows) /
+    d^n, a depth-0 TowerScalar: up to 3x3 det(rows) is the closed form on
+    integers; from 4x4 on, where every tower matrix whose entries all have
+    depth 0 is lowered to its form, it is the last pivot of Bareiss's
+    fraction-free elimination times its row-swap sign.  The closed forms
+    keep a matrix held as TowerScalars as it is: they cost at most a dozen
+    products, so lowering saves them little."""
     if not m.is_square():
         raise DomainError("determinant of a non-square matrix")
-    if m.domain is not TOWER or m.nrows <= 3:
-        return _det_rows(m.data, m.domain)
-    domain, rows = _lower(m)
-    rows, pivots, det_sign, _ = _eliminate(domain, rows)
-    if len(pivots) < m.nrows:
-        return _lift_scalar(domain, domain.zero)
-    out = rows[0][0]
-    for i in range(1, m.nrows):
-        out = out * rows[i][i]
-    return _lift_scalar(domain, out if det_sign > 0 else -out)
+    n = m.nrows
+    form = m._form if n <= 3 else _lower(m)
+    if not form:
+        if m.domain is not TOWER or n <= 3:
+            return _det_rows(m.data, m.domain)
+        rows, pivots, det_sign, _ = _eliminate(TOWER, m.data)
+        if len(pivots) < n:
+            return TOWER.zero
+        out = rows[0][0]
+        for i in range(1, n):
+            out = out * rows[i][i]
+        return out if det_sign > 0 else -out
+    rows, d = form
+    if n <= 3:
+        value = _det_rows(rows, _Z)
+    else:
+        rows, pivots, det_sign, _ = _eliminate(_Z, rows)
+        value = det_sign * rows[-1][-1] if len(pivots) == n else 0
+    return TowerScalar(_QQ, (Fraction(value, d ** n),))
 
 
 def _det_rows(rows, domain):
@@ -568,14 +776,25 @@ def _det_rows(rows, domain):
 
 
 def solve(m: Matrix, rhs: Matrix) -> Matrix:
-    """Solve m x = rhs exactly.  SingularMatrix on rank deficiency."""
+    """Solve m x = rhs exactly.  SingularMatrix on rank deficiency.
+
+    For m = A / d_a and rhs = B / d_b in integer form, Bareiss's
+    Gauss-Jordan elimination of [A | B] turns A into last I and B into B',
+    so x = B' d_a / (d_b last)."""
     if not m.is_square() or rhs.nrows != m.nrows:
         raise DomainError("dimension mismatch")
-    domain, rows, rrows = _lower_pair(m, rhs)
-    rows, pivots, _, rrows = _eliminate(domain, rows, rrows)
-    if len(pivots) < m.nrows:
-        raise SingularMatrix("rank-deficient system")
     n = m.nrows
+    forms = _lower_pair(m, rhs)
+    if forms:
+        (ra, da), (rb, db) = forms
+        rows, pivots, _, rrows = _eliminate(_Z, ra, rb)
+        if len(pivots) < n:
+            raise SingularMatrix("rank-deficient system")
+        return _from_form(*_reduced([[x * da for x in r] for r in rrows], db * rows[-1][-1]))
+    domain = m.domain
+    rows, pivots, _, rrows = _eliminate(domain, m.data, rhs.data)
+    if len(pivots) < n:
+        raise SingularMatrix("rank-deficient system")
     k = rhs.ncols
     sol = [[domain.zero] * k for _ in range(n)]
     for pr, pc in reversed(pivots):
@@ -585,7 +804,7 @@ def solve(m: Matrix, rhs: Matrix) -> Matrix:
             for j in range(pc + 1, n):
                 acc = acc - rows[pr][j] * sol[j][c]
             sol[pc][c] = acc * inv
-    return _lift(domain, sol)
+    return Matrix(domain, sol)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -594,21 +813,32 @@ def inverse(m: Matrix) -> Matrix:
 
 def kernel(m: Matrix) -> list:
     """Basis of the right kernel, as a list of column tuples."""
-    domain, rows = _lower(m)
+    return [tuple(map(_lift_scalar, v)) for v in _kernel(m)]
+
+
+def _kernel(m: Matrix) -> list:
+    """Basis of the right kernel of m, one vector per free column: of
+    Fractions when m has an integer form (each of Bareiss's pivot rows is
+    zero in the other pivot columns, so no back substitution), else of m's
+    scalars."""
+    domain, rows = _elimination_rows(m)
     rows, pivots, _, _ = _eliminate(domain, rows)
     pivot_cols = [pc for _, pc in pivots]
-    free_cols = [c for c in range(m.ncols) if c not in pivot_cols]
+    entries = _Q if domain is _Z else domain
     basis = []
-    for fc in free_cols:
-        v = [domain.zero] * m.ncols
-        v[fc] = domain.one
+    for fc in (c for c in range(m.ncols) if c not in pivot_cols):
+        v = [entries.zero] * m.ncols
+        v[fc] = entries.one
         for pr, pc in reversed(pivots):
+            if domain is _Z:
+                v[pc] = Fraction(-rows[pr][fc], rows[pr][pc])
+                continue
             acc = rows[pr][fc]
             for j in pivot_cols:
                 if j > pc:
                     acc = acc + rows[pr][j] * v[j]
             v[pc] = -acc * domain.invert(rows[pr][pc])
-        basis.append(tuple(_lift_scalar(domain, x) for x in v))
+        basis.append(v)
     return basis
 
 
@@ -617,16 +847,16 @@ def char_poly(m: Matrix) -> list:
     p(t) = t^n + c1 t^(n-1) + ... + cn, by the Faddeev-LeVerrier recursion
     (valid in characteristic zero; only integer divisions appear).  The
     last product is read only through its trace, so only its diagonal is
-    formed."""
+    formed.  A rational matrix runs on Fractions (_over_q)."""
     if not m.is_square():
         raise DomainError("char_poly of a non-square matrix")
     n = m.nrows
-    domain, rows = _lower(m)
+    domain, rows = _over_q(m)
     coeffs = [domain.one]
     mk = rows
     diagonal = [r[i] for i, r in enumerate(rows)]
     for k in range(1, n + 1):
-        ck = _sum(domain, diagonal) * F(-1, k)
+        ck = _sum(diagonal, domain) * F(-1, k)
         coeffs.append(ck)
         if k < n:
             shifted = _shift_diagonal(mk, ck)
@@ -635,12 +865,7 @@ def char_poly(m: Matrix) -> list:
                 diagonal = [r[i] for i, r in enumerate(mk)]
             else:
                 diagonal = [_dot(r, [x[i] for x in shifted], domain) for i, r in enumerate(rows)]
-    return [_lift_scalar(domain, c) for c in coeffs]
-
-
-def _shift_diagonal(rows, c):
-    """The rows of m + c I: c is added to the diagonal entries only."""
-    return [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    return [_lift_scalar(c) for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +923,7 @@ def tower_roots(coeffs: list) -> list:
         raise UnsolvableSpectrum(
             f"degree-{deg} factorisation over the tower needs rational coefficients"
         )
-    ints, _ = _integer_scaled(fracs)
+    [ints], _ = _integer_form([fracs])
     if ints[-1] == 0:
         root = F(0)
     else:
@@ -817,7 +1042,7 @@ def _orthogonal_det_sign(m: Matrix) -> int:
         return _x0_det_sign(m.data)
     width = F(1, 2 * m.nrows * m.nrows)
     mid = [[sum(x.approx(width)) / 2 for x in r] for r in m.data]
-    return det(Matrix.tower(mid)).sign()
+    return det(_lift(TOWER, mid)).sign()
 
 
 # ---------------------------------------------------------------------------

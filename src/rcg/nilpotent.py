@@ -23,8 +23,8 @@ from .errors import (
     ZeroInput,
     ZeroParameter,
 )
-from .linalg import Matrix, commutator, inverse, kernel, solve
-from .linalg import _all_vanish, _dot, _eliminate, _lift, _lower, _lower_pair
+from .linalg import TOWER, Matrix, commutator, inverse, solve
+from .linalg import _all_vanish, _dot, _eliminate, _elimination_rows, _kernel, _lift, _over_q
 from .slgroup import (
     GroupElement,
     RootIndex,
@@ -39,6 +39,11 @@ F = Fraction
 
 
 def _is_zero_matrix(m: Matrix) -> bool:
+    """Exact zero test of every entry: over the tower _all_vanish, which
+    reads the integer form when m holds one; IndeterminateSign over the
+    Puiseux field when an entry cannot be classified."""
+    if m.domain is TOWER:
+        return _all_vanish(m)
     return all(m.domain.is_zero(x) for row in m.data for x in row)
 
 
@@ -89,9 +94,10 @@ def log_unipotent(u) -> Matrix:
 def _require_strictly_upper(x: Matrix, name: str):
     if x.nrows != x.ncols:
         raise DomainError(f"{name} must be a square matrix")
+    dom, rows = _over_q(x)
     for i in range(x.nrows):
         for j in range(i + 1):
-            if not x.domain.is_zero(x.data[i][j]):
+            if not dom.is_zero(rows[i][j]):
                 raise NotNilpotent(f"{name} must be strictly upper triangular")
 
 
@@ -242,7 +248,7 @@ def _root_sweep(u: GroupElement, theta_set: ThetaSet, left) -> tuple:
     Theta in `left` and over the rest.
 
     Roots are taken in ascending order, L and R kept as rows from I (over
-    the rational kernel for rational u).  Root alpha = e_i - e_j gets
+    Q for rational u, and lifted to integer forms).  Root alpha = e_i - e_j gets
     t = u_ij - (L R)_ij, one dot product, and x_alpha(t) enters its product
     on the left as the row operation row_i += t row_j.  L and R are
     unitriangular, so that moves (L R)_ij by exactly t, and any other entry
@@ -252,8 +258,9 @@ def _root_sweep(u: GroupElement, theta_set: ThetaSet, left) -> tuple:
     n = theta_set.n
     if u.n != n:
         raise DomainError("dimension mismatch")
-    dom, u_rows, one = _lower_pair(u.mat, Matrix.identity(n, u.mat.domain))
-    l_rows, r_rows = [list(row) for row in one], [list(row) for row in one]
+    dom, u_rows = _over_q(u.mat)
+    l_rows = [[dom.one if a == b else dom.zero for b in range(n)] for a in range(n)]
+    r_rows = [list(row) for row in l_rows]
     params = []
     for alpha in reversed(theta_set.descending()):
         i, j = alpha.i, alpha.j
@@ -327,40 +334,47 @@ def jacobson_morozov(x: Matrix) -> Sl2Triple:
     if not powers:
         raise ZeroInput("Jacobson-Morozov needs a nonzero nilpotent")
     q = len(powers) + 1
-    whole = list(Matrix.identity(n, domain).data)
+    _, whole = _over_q(Matrix.identity(n, domain))
     # kernels[k] is a basis of ker x^k, k = 0 .. q + 1
-    kernels = [[]] + [kernel(p) for p in powers] + [whole, whole]
+    kernels = [[]] + [_kernel(p) for p in powers] + [whole, whole]
     cols = []
     h_rows = [[0] * n for _ in range(n)]
     y_rows = [[F(0)] * n for _ in range(n)]
     for k in range(q, 0, -1):
-        spanned = kernels[k - 1] + list(zip(*(x * _columns(kernels[k + 1], domain)).data))
+        spanned = kernels[k - 1] + _column_vectors(x * _columns(kernels[k + 1], domain))
         stack = spanned + kernels[k]
-        _, pivots, _, _ = _eliminate(*_lower(_columns(stack, domain)))
+        _, pivots, _, _ = _eliminate(*_elimination_rows(_columns(stack, domain)))
         heads = [stack[pc] for _, pc in pivots if pc >= len(spanned)]
         if heads:
             chain = [_columns(heads, domain)]
             for _ in range(k - 1):
                 chain.append(x * chain[-1])
+            steps = [_column_vectors(step) for step in reversed(chain)]
             for c in range(len(heads)):
                 o = len(cols)
-                cols.extend(step.col(c) for step in reversed(chain))
+                cols.extend(step[c] for step in steps)
                 for t in range(k):
                     h_rows[o + t][o + t] = k - 1 - 2 * t
                 for t in range(1, k):
                     y_rows[o + t][o + t - 1] = F(t * (k - t))
     p = _columns(cols, domain)
     p_inv = inverse(p)
-    h = p * Matrix(domain, h_rows) * p_inv
-    y = p * Matrix(domain, y_rows) * p_inv
+    h = p * _lift(domain, h_rows) * p_inv
+    y = p * _lift(domain, y_rows) * p_inv
     triple = Sl2Triple(x, h, y)
     triple.verify()
     return triple
 
 
 def _columns(vectors, domain) -> Matrix:
-    """The matrix with these vectors as its columns."""
-    return Matrix(domain, list(zip(*vectors)))
+    """The matrix with these vectors as its columns: held as its integer
+    form when they are vectors of Fractions (linalg._lift)."""
+    return _lift(domain, list(zip(*vectors)))
+
+
+def _column_vectors(m: Matrix) -> list:
+    """The columns of m, of Fractions when m is rational (linalg._over_q)."""
+    return list(zip(*_over_q(m)[1]))
 
 
 def jm_basic_triple(alpha: RootIndex, x: Matrix) -> Sl2Triple:

@@ -39,7 +39,9 @@ Below-tail rule: a term below a value's tail is unknown, so no operation
 forms one.  A product works out its tail first, max(tail_a + lead_b,
 tail_b + lead_a), and multiplies only the coefficient pairs whose exponent
 sum is at or above it; terms are sorted by decreasing exponent, so the inner
-loop stops at the first pair below the tail.  Sums and products build their
+loop stops at the first pair below the tail.  A product by an exact
+constant (one term, at X^0) scales the other operand's coefficients term by
+term, with no exponent lattice.  Sums and products build their
 results through a trusted constructor that skips the normalisation the
 public PuiseuxScalar(terms, tail) does for the parser and for callers.
 
@@ -344,6 +346,10 @@ class PuiseuxScalar:
             if ub is not None:
                 cands.append(other.tail + ub)
         tail = max(cands) if cands else None
+        if _is_constant(other):
+            return _scaled(self, other, tail, False)
+        if _is_constant(self):
+            return _scaled(other, self, tail, True)
         fa = self._rational()
         fb = fa and other._rational()
         if fb:
@@ -571,6 +577,36 @@ def _operand(x):
     if isinstance(x, (int, Fraction, TowerScalar)):
         return PuiseuxScalar.constant(x)
     return None
+
+
+def _is_constant(s: PuiseuxScalar) -> bool:
+    """True iff s is an exact nonzero constant: one term, at X^0, no tail."""
+    if s.tail is not None:
+        return False
+    form = s._form
+    if form:
+        return form[1] == (0,)
+    terms = s._terms
+    return terms is not None and len(terms) == 1 and not terms[0][0]
+
+
+def _scaled(s: PuiseuxScalar, k: PuiseuxScalar, tail, k_left: bool) -> PuiseuxScalar:
+    """s times the exact constant k, coefficient by coefficient, with k on
+    the left of each coefficient product when k_left (the operand order
+    fixes the radicand order of a merged tower); the tail is a product's,
+    tail(s) + 0.  Over the lattice forms when both are rational."""
+    fs = s._rational()
+    fk = fs and k._rational()
+    if fk:
+        den, ks, ns, d = fs
+        _, _, (p,), q = fk
+        return PuiseuxScalar._lattice_value(_reduced(den, ks, [n * p for n in ns], d * q), tail)
+    c = k.terms[0][1]
+    if k_left:
+        terms = tuple((e, c * x) for e, x in s.terms)
+    else:
+        terms = tuple((e, x * c) for e, x in s.terms)
+    return PuiseuxScalar._trusted(terms, tail)
 
 
 def _positive_order(order) -> Fraction:

@@ -16,7 +16,7 @@ from math import factorial, gcd, prod
 from operator import mul
 
 from .errors import InternalError, UnsupportedType
-from .linalg import Matrix, _integer_scaled, det, kernel
+from .linalg import Matrix, _integer_form, det, kernel
 
 F = Fraction
 
@@ -105,7 +105,9 @@ def build(type_name: str) -> RootSystem:
     if m:
         n = int(m.group(1))
         if n < 1:
-            raise UnsupportedType(type_name)
+            raise UnsupportedType(
+                f"unsupported root system type {type_name!r}: A_n needs n >= 1"
+            )
         gram = [
             [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)]
             for i in range(n)
@@ -289,7 +291,7 @@ def cone_data(rs: RootSystem) -> ConeData:
 
 def _primitive(fracs) -> tuple:
     """The primitive integer vector on the ray of a nonzero rational vector."""
-    ints, _ = _integer_scaled(fracs)
+    [ints], _ = _integer_form([fracs])
     g = gcd(*ints)
     return tuple(q // g for q in ints)
 

@@ -276,6 +276,15 @@ def test_cli_roots():
     assert code == 2
 
 
+def test_cli_roots_names_why_a0_is_refused():
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["roots", "--type", "A0"], out=out, err=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "domain error: unsupported root system type 'A0': A_n needs n >= 1\n"
+    )
+
+
 def test_cli_json_text_same_content(tmp_path):
     g = tmp_path / "g.mat"
     g.write_text("1, 0; 1, 1")

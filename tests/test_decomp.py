@@ -279,7 +279,7 @@ def test_gram_schmidt_over_q_matches_the_tower_loop():
         r = sqrt_positive(2)
         padded = Matrix.tower([[x + r - r if (i, j) == (0, 0) else x for j, x in enumerate(row)]
                                for i, row in enumerate(m.data)])
-        assert rcg.linalg._lower(padded)[0] is TOWER
+        assert rcg.linalg._over_q(padded)[0] is TOWER
         assert rcg.decomp._gram_schmidt(padded) == (qhat, norm2, u)
 
 

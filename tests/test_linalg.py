@@ -34,6 +34,14 @@ from rcg.linalg import (
 from rcg.puiseux import X, PuiseuxScalar
 from rcg.tower import TowerScalar, sqrt_positive
 
+from _references import (
+    fraction_det,
+    fraction_kernel,
+    fraction_product,
+    fraction_rank,
+    fraction_solve,
+)
+
 F = Fraction
 
 
@@ -455,6 +463,97 @@ def test_rational_kernel_makes_no_tower_arithmetic(monkeypatch):
     assert _rows(product) == _frac_product(a, b)
     assert r == 4 and _frac_product(a, _rows(x)) == b
     assert _fractions([d]) == [_frac_det(a)] and len(_fractions(coeffs)) == 5
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction elimination and product it replaced
+
+#: small rationals, and rationals with large denominators
+_wide_fractions = st.one_of(
+    _small_fractions,
+    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**15)),
+)
+
+
+@st.composite
+def _kernel_rows(draw, nrows, ncols):
+    """Rows of rationals, drawn whole (random, zero, or of a drawn rank
+    below full) or with one row made a multiple of another."""
+    shape = draw(st.sampled_from(("random", "zero", "low rank", "dependent row")))
+    if shape == "zero":
+        return [[F(0)] * ncols for _ in range(nrows)]
+    if shape == "low rank":
+        r = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
+        left = [[draw(_small_fractions) for _ in range(r)] for _ in range(nrows)]
+        right = [[draw(_wide_fractions) for _ in range(ncols)] for _ in range(r)]
+        return fraction_product(left, right)
+    rows = [[draw(_wide_fractions) for _ in range(ncols)] for _ in range(nrows)]
+    if shape == "dependent row" and nrows > 1:
+        i, j = draw(st.permutations(range(nrows)))[:2]
+        c = draw(_wide_fractions)
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+def _held(rows, form):
+    """The matrix of these rows, held as its integer form or as
+    TowerScalars."""
+    return linalg._lift(linalg._Q, rows) if form else Matrix.tower(rows)
+
+
+def _same(m, rows):
+    """m has these Fraction rows, and equals the matrix built from
+    TowerScalars both ways round."""
+    built = Matrix.tower(rows)
+    return _rows(m) == rows and m == built and built == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_kernel_matches_the_fraction_reference(data):
+    n, k, m = (data.draw(st.integers(1, 6)) for _ in range(3))
+    a, b = data.draw(_kernel_rows(n, k)), data.draw(_kernel_rows(n, k))
+    c = data.draw(_kernel_rows(k, m))
+    s = data.draw(_wide_fractions)
+    am, bm, cm = (_held(rows, data.draw(st.booleans())) for rows in (a, b, c))
+    assert _same(am * cm, fraction_product(a, c))
+    assert _same(am + bm, [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)])
+    assert _same(am - bm, [[x - y for x, y in zip(r, q)] for r, q in zip(a, b)])
+    assert _same(-am, [[-x for x in r] for r in a])
+    assert _same(am.transpose(), [list(col) for col in zip(*a)])
+    scaled = [[x * s for x in r] for r in a]
+    for product in (am * s, s * am, am * TowerScalar.coerce(s)):
+        assert _same(product, scaled)
+    assert rank(am) == fraction_rank(a)
+    assert [_fractions(v) for v in kernel(am)] == fraction_kernel(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_kernel_square_operations_match_the_fraction_reference(data):
+    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    a, rhs = data.draw(_kernel_rows(n, n)), data.draw(_kernel_rows(n, k))
+    am, rm = _held(a, data.draw(st.booleans())), _held(rhs, data.draw(st.booleans()))
+    assert _fractions([det(am)]) == [fraction_det(a)]
+    x = fraction_solve(a, rhs)
+    if x is None:
+        for call in (lambda: solve(am, rm), lambda: inverse(am)):
+            with pytest.raises(SingularMatrix):
+                call()
+    else:
+        assert _same(solve(am, rm), x)
+        identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        assert _same(inverse(am), fraction_solve(a, identity))
+
+
+def test_integer_forms_are_reduced_and_canonical():
+    """Equal matrices reached by different operations hold the same form,
+    reduced by its gcd; the zero matrix's is over 1."""
+    a = Matrix.tower([[F(1, 2), F(3, 4)], [F(-5, 6), 2]])
+    twice = a + a
+    assert linalg._lower(twice) == linalg._lower(a * 2) == ([[6, 9], [-10, 24]], 6)
+    assert linalg._lower(a - a) == ([[0, 0], [0, 0]], 1)
+    assert (a - a)._form is not None and Matrix.zeros(2, 2) == a - a
 
 
 def test_rational_kernel_falls_back_on_a_radical():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcg.linalg
 import rcg.nilpotent
 from rcg.errors import (
     DomainError,
@@ -725,3 +726,61 @@ def test_jacobson_morozov_matches_the_rank_loop_reference(blocks, data):
     x = g.mat * jordan_type_matrix(blocks) * g.inverse().mat
     triple = jacobson_morozov(x)
     assert (triple.h, triple.y) == reference_jacobson_morozov(x)
+
+
+# ---------------------------------------------------------------------------
+# the rational path builds no tower scalar
+
+def _strictly_upper_rows(rng, n):
+    return [[F(rng.randint(-4, 4), rng.randint(1, 3)) if j > i else F(0) for j in range(n)]
+            for i in range(n)]
+
+
+def _fraction_rows(m):
+    return [[x.as_fraction() for x in row] for row in m.data]
+
+
+@pytest.mark.parametrize("held", ["data", "form"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_rational_lie_calculus_makes_no_tower_scalar(n, held, monkeypatch):
+    """bch, its degree-3 partial sum, zassenhaus, u_theta_factorize and
+    jacobson_morozov on rational input run on integer forms: no TowerScalar
+    is made until the caller reads a result's data, whether the input holds
+    TowerScalars or only its form."""
+    rng = random.Random(f"no-tower-{n}-{held}")
+    x_rows, y_rows = _strictly_upper_rows(rng, n), _strictly_upper_rows(rng, n)
+    u_rows = _fraction_rows(exp_nilpotent(Matrix.tower(x_rows)).mat)
+    upper = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    g = GroupElement.tower(upper) * GroupElement.tower(upper).transpose()
+    nil_rows = _fraction_rows(g.mat * jordan_type_matrix((n - 2, 2)) * g.inverse().mat)
+    def held_as(rows):
+        return Matrix.tower(rows) if held == "data" else rcg.linalg._lift(rcg.linalg._Q, rows)
+
+    x, y, nil = held_as(x_rows), held_as(y_rows), held_as(nil_rows)
+    u = GroupElement._unchecked(held_as(u_rows))
+    theta = ThetaSet.all_positive(n)
+    made = []
+    init = TowerScalar.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(TowerScalar, "__init__", counting)
+    z, z3, factors = bch(x, y), bch_partial_sum(x, y, 3), zassenhaus(x, y)
+    parts, triple = u_theta_factorize(u, theta), jacobson_morozov(nil)
+    assert made == []
+    monkeypatch.undo()
+    assert exp_nilpotent(z) == exp_nilpotent(x) * exp_nilpotent(y)
+    terms = bch_series_terms(x, y, 3)
+    assert z3 == terms[1] + terms[2] + terms[3]
+    product = GroupElement.identity(n)
+    for f in factors:
+        product = product * exp_nilpotent(f)
+    assert product == exp_nilpotent(x + y)
+    product = GroupElement.identity(n)
+    for _, comp in parts:
+        product = product * exp_nilpotent(comp)
+    assert product.mat == Matrix.tower(u_rows)
+    assert triple.verify() and str(triple.x) == str(Matrix.tower(nil_rows))

@@ -292,6 +292,29 @@ def test_product_and_sum_match_the_normalising_constructor(a, b):
                       max(tails) if tails else None)
 
 
+_constants = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    st.fractions(-3, 3, max_denominator=3).filter(bool),
+    st.sampled_from([_R2, _R3, 1 + _R2, F(-1, 2) * _R3]),
+)
+
+_rational_terms = st.lists(st.tuples(st.sampled_from([F(k, 2) for k in range(-4, 3)]),
+                                     st.fractions(-3, 3, max_denominator=4)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series() | st.builds(P, _rational_terms, st.none() | st.just(F(-3))),
+       _constants, st.booleans())
+def test_product_by_a_constant_scales_each_term(a, c, wrapped):
+    """A nonzero constant, given as it is or as a one-term series at X^0,
+    scales every coefficient of a on either side and keeps a's tail, as the
+    general product by c X and X^-1 does."""
+    k = P.constant(c) if wrapped else c
+    want = P([(e, x * c) for e, x in a.terms], a.tail)
+    assert a * k == want and k * a == want
+    assert a * k == a * P.monomial(c, 1) * P.monomial(1, -1)
+
+
 def test_operands_of_another_type_are_left_to_them():
     from rcg.linalg import Matrix
 
