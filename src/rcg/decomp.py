@@ -51,6 +51,7 @@ from .linalg import (
     PuiseuxDomain,
     TOWER,
     _all_vanish,
+    _depth0,
     _dot,
     _lift,
     _lift_scalar,
@@ -152,7 +153,7 @@ def _iwasawa_certificate(factor: GroupElement, k: Matrix, a: Matrix, u: Matrix, 
 def _rational_coefficients(x: PuiseuxScalar) -> PuiseuxScalar:
     """x over depth-0 coefficients when all of x's are rational, else x."""
     if all(c.is_rational() for _, c in x.terms):
-        return PuiseuxScalar(((e, c.coeffs[0]) for e, c in x.terms), x.tail)
+        return PuiseuxScalar(((e, _depth0(c)) for e, c in x.terms), x.tail)
     return x
 
 
@@ -347,10 +348,21 @@ def iwasawa_uak(g: GroupElement) -> UAKResult:
 def a_component(g: GroupElement) -> GroupElement:
     """The A-part of the UAK Iwasawa decomposition, iwasawa_uak(g).a: the
     column norms of the flip-conjugate J g^T J, in reverse order.  Only a is
-    formed and certified (prod(norm2_j) = 1); no k, no u, no determinant."""
+    formed and certified (prod(norm2_j) = 1, _a_squares); no k, no u, no
+    determinant."""
+    dom = g.mat.domain
+    roots = [dom.sqrt_positive(x) for x in _a_squares(g)]
+    return GroupElement._unchecked(Matrix.diagonal(roots, dom))
+
+
+def _a_squares(g: GroupElement) -> list:
+    """The squares of a_component(g)'s diagonal, the squared column norms
+    of J g^T J in reverse order, certified by their product being 1
+    (_check_unit_product); no root is taken."""
     _, norm2, _ = _gram_schmidt(_flip(g.mat.transpose()))
-    _, a = _a_factor(norm2[::-1], g.mat.domain)
-    return a
+    squares = norm2[::-1]
+    _check_unit_product(squares, g.mat.domain)
+    return squares
 
 
 # ---------------------------------------------------------------------------

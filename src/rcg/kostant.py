@@ -12,13 +12,16 @@ chi_j(b) - chi_j(a) themselves (_char_gaps).  Both sides of each
 inequality are positive, so the orbit sampler decides it on squares,
 chi_j(a)^2 = chi_j(a^2) <= chi_j(b)^2: the A-component a of a rational
 orbit point has entries sqrt(norm2_j), one radical each, and rational
-squares, which the sampler sorts into the chamber and compares as
-Fractions, with no product of radicals and no tower merge; only the
-reported slack chi_j(b) - sqrt(chi_j(a)^2) takes one square root.
+squares norm2_j.  The sampler reads those squares straight from
+decomp._a_squares, with no root taken, sorts them into the chamber and
+compares them as rationals, with no product of radicals and no tower
+merge; only the reported slack chi_j(b) - sqrt(chi_j(a)^2) takes one
+square root.
 
 The orbit sampler checks nothing twice: its rotations are built unchecked
-over Q (c^2 + s^2 = 1 fixes each determinant), and a_component certifies
-the A-component by prod(r_j^2) = 1 in decomp; a is not tested again.
+over Q (c^2 + s^2 = 1 fixes each determinant), and _a_squares certifies
+the squares by prod(norm2_j) = 1 in decomp, as a_component does; they are
+not tested again.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from operator import mul
 
-from .decomp import a_component
+from .decomp import _a_squares
 from .errors import DomainError, InternalError
 from .linalg import _Q, TOWER, Matrix, _depth0, _exact_key, _lift
 from .rootsys import _primitive, build, cone_data
@@ -206,9 +209,7 @@ def orbit_sample_check(b: ChamberPoint, trials: int, seed: int = 0) -> OrbitSamp
             rotation = _lift(_Q, _rotation(n, i, j, t))
             k = rotation if k is None else k * rotation
         k = GroupElement._unchecked(k)
-        a = a_component(k * b.element)
-        entries = (a[i, i] for i in range(n))
-        squares = sorted((_depth0(x * x) for x in entries), key=_exact_key, reverse=True)
+        squares = sorted(map(_depth0, _a_squares(k * b.element)), key=_exact_key, reverse=True)
         a_squares = _chars(squares, dom)  # chi_j(a^2) = chi_j(a)^2
         if any((cb - ca).sign() < 0 for ca, cb in zip(a_squares, b_squares)):
             raise InternalError("convexity violation")

@@ -17,26 +17,27 @@ leading-order problem of a Puiseux matrix and refines the branches by
 Newton iteration to a requested relative order (default: the matrix's
 domain order).  Both return eigenvectors with det(V) = +1.
 
-The rational kernel.  A tower scalar of depth 0 is a Fraction, and the
-nilpotent calculus on rational input meets no others.  A tower matrix whose
-entries all have depth 0 has one integer form (rows, d): integer rows over
-one common denominator d > 0, divided by the gcd of d and every entry, so
-two such matrices are equal iff their forms are.  _lower computes it once
-and keeps it on the matrix.  Products (integer inner products over
-d_a d_b), sums and differences (over lcm(d_a, d_b)), rational scalings,
-negation, transposes, == and the zero tests read and write only forms, and
-so do the constructors given ints and Fractions (identity, diagonal, unit,
-zeros, _lift).  Such a result builds its data, depth-0 TowerScalars, only
-when they are first read.  _eliminate, the one elimination, runs Bareiss's
-fraction-free Gauss-Jordan step on the integer rows (Bareiss (1968),
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination"): row <- (p row - f pivot_row) / prev, an exact integer
-division, so every pivot ends equal to the last one; rank, kernel, solve,
-inverse and det read their results off those rows.  Trace, char_poly,
-Gram-Schmidt and the root sweep work on Fractions (_over_q), read off the
-data when they are built, with no form computed.  An operand with a
-radical, and every Puiseux matrix, runs the same bodies on its own domain
-and scalars.
+The rational kernel.  A tower scalar of depth 0 is a rational number, one
+canonical integer pair nums[0] / den, and the nilpotent calculus on
+rational input meets no others.  A tower matrix whose entries all have
+depth 0 has one integer form (rows, d): integer rows over one common
+denominator d > 0, divided by the gcd of d and every entry, so two such
+matrices are equal iff their forms are.  _lower computes it once, from the
+entries' pairs, and keeps it on the matrix.  Products (integer inner
+products over d_a d_b), sums and differences (over lcm(d_a, d_b)), rational
+scalings, negation, transposes, == and the zero tests read and write only
+forms, and so do the constructors given ints and Fractions (identity,
+diagonal, unit, zeros, _lift).  Such a result builds its data, depth-0
+TowerScalars, only when they are first read.  _eliminate, the one
+elimination, runs Bareiss's fraction-free Gauss-Jordan step on the integer
+rows (Bareiss (1968), "Sylvester's identity and multistep
+integer-preserving Gaussian elimination"): row <- (p row - f pivot_row) /
+prev, an exact integer division, so every pivot ends equal to the last one;
+rank, kernel, solve, inverse and det read their results off those rows.
+Trace, char_poly, Gram-Schmidt and the root sweep work on Fractions
+(_over_q), read off the data when they are built, with no form computed.
+An operand with a radical, and every Puiseux matrix, runs the same bodies
+on its own domain and scalars.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import (
     UnsolvableSpectrum,
 )
 from .puiseux import DEFAULT_REL_ORDER, PuiseuxScalar, _positive_order
-from .tower import _QQ, TowerScalar
+from .tower import _QQ, TowerScalar, _scalar
 from .tower import sqrt_positive as tower_sqrt
 
 F = Fraction
@@ -205,9 +206,7 @@ class Matrix:
         if name != "data":
             raise AttributeError(name)
         rows, d = self._form
-        self.data = data = tuple(
-            tuple(TowerScalar(_QQ, (Fraction(x, d),)) for x in row) for row in rows
-        )
+        self.data = data = tuple(tuple(_scalar(_QQ, (x,), d) for x in row) for row in rows)
         return data
 
     # -- constructors --------------------------------------------------------
@@ -303,8 +302,8 @@ class Matrix:
         form = q is not None and _lower(self)
         if form:
             rows, d = form
-            p = q.numerator
-            return _from_form(*_reduced([[a * p for a in r] for r in rows], d * q.denominator))
+            p, e = q
+            return _from_form(*_reduced([[a * p for a in r] for r in rows], d * e))
         s = self.domain.coerce(s)
         return Matrix(self.domain, [[op(a, s) for a in r] for r in self.data])
 
@@ -474,11 +473,13 @@ def _lower(m: Matrix):
     form = m._form
     if form is None:
         data = m.data
-        form = m._form = (
-            _integer_form([[x.coeffs[0] for x in row] for row in data])
-            if all(len(x.coeffs) == 1 for row in data for x in row)
-            else False
-        )
+        form = False
+        if all(len(x.nums) == 1 for row in data for x in row):
+            # canonical pairs over the lcm of their denominators, reduced
+            # as in _integer_form
+            d = lcm(*[x.den for row in data for x in row])
+            form = ([[x.nums[0] * (d // x.den) for x in row] for row in data], d)
+        m._form = form
     return form or None
 
 
@@ -499,8 +500,8 @@ def _over_q(m: Matrix):
         rows, d = m._form
         return _Q, [[Fraction(x, d) for x in row] for row in rows]
     form = m._form
-    if form or (form is None and all(len(x.coeffs) == 1 for row in data for x in row)):
-        return _Q, [[x.coeffs[0] for x in row] for row in data]
+    if form or (form is None and all(len(x.nums) == 1 for row in data for x in row)):
+        return _Q, [[Fraction(x.nums[0], x.den) for x in row] for row in data]
     return m.domain, data
 
 
@@ -518,23 +519,26 @@ def _lift(domain, rows) -> Matrix:
 def _lift_scalar(x):
     """A scalar of the rational kernel (a Fraction) as a depth-0
     TowerScalar; any other scalar as it is."""
-    return TowerScalar(_QQ, (x,)) if isinstance(x, Fraction) else x
+    return TowerScalar(_QQ, (x.numerator,), x.denominator) if isinstance(x, Fraction) else x
 
 
 def _rational(s):
-    """s as an int or a Fraction when it is one or a depth-0 tower scalar,
-    else None."""
+    """s as a pair (numerator, denominator > 0) when it is an int, a
+    Fraction or a depth-0 tower scalar, else None."""
     if isinstance(s, TowerScalar):
-        return s.coeffs[0] if len(s.coeffs) == 1 else None
-    return s if isinstance(s, (int, Fraction)) else None
+        return (s.nums[0], s.den) if len(s.nums) == 1 else None
+    if isinstance(s, int):
+        return s, 1
+    return (s.numerator, s.denominator) if isinstance(s, Fraction) else None
 
 
 def _depth0(x):
     """x as a depth-0 tower scalar when it is a rational tower scalar of any
-    depth (TowerScalar.as_fraction), else x: rational values of different
-    towers then meet with no tower merge."""
-    q = x.as_fraction() if isinstance(x, TowerScalar) else None
-    return x if q is None else TowerScalar(_QQ, (q,))
+    depth, else x: rational values of different towers then meet with no
+    tower merge."""
+    if isinstance(x, TowerScalar) and len(x.nums) > 1 and not any(x.nums[1:]):
+        return TowerScalar(_QQ, x.nums[:1], x.den)
+    return x
 
 
 def _rearranged(m: Matrix, arrange) -> Matrix:
@@ -751,7 +755,7 @@ def det(m: Matrix):
     else:
         rows, pivots, det_sign, _ = _eliminate(_Z, rows)
         value = det_sign * rows[-1][-1] if len(pivots) == n else 0
-    return TowerScalar(_QQ, (Fraction(value, d ** n),))
+    return _scalar(_QQ, (value,), d ** n)
 
 
 def _det_rows(rows, domain):

@@ -16,6 +16,9 @@ ScalarDomain; "/" and sqrt(...) over the Puiseux field work to the
 domain's truncation order, so sqrt(X^(20) + 2*X^(10) + 1) is the exact
 X^(10) + 1 at order 12 but truncated at the default order 8.  sqrt of an
 exact zero is zero; of a negative value, NotPositive in either field.
+A scalar nests at most MAX_NESTING levels of "(" and "sqrt(" (ParseError
+beyond): each level takes three frames of the recursive descent, and
+deeper input would exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .linalg import Matrix, PUISEUX, TOWER, ScalarDomain
 from .puiseux import PuiseuxScalar
 
 F = Fraction
+
+#: the deepest nesting of "(" and "sqrt(" that a scalar may have
+MAX_NESTING = 200
 
 
 class _Tokens:
@@ -96,6 +102,7 @@ class _Grammar:
         self.domain = {"tower": TOWER, "puiseux": PUISEUX}.get(field, field)
         if not isinstance(self.domain, ScalarDomain):
             raise ParseError(f"unknown field {field!r}")
+        self.nesting = 0
 
     # -- productions ---------------------------------------------------------
 
@@ -134,15 +141,11 @@ class _Grammar:
             return self.domain.coerce(self.rational(toks))
         if kind == "sym" and value == "(":
             toks.next()
-            inner = self.scalar(toks)
-            toks.expect_sym(")")
-            return inner
+            return self.nested(toks, line, col)
         if kind == "name" and value == "sqrt":
             toks.next()
             toks.expect_sym("(")
-            inner = self.scalar(toks)
-            toks.expect_sym(")")
-            return self.sqrt(inner)
+            return self.sqrt(self.nested(toks, line, col))
         if kind == "name" and value in ("X", "O"):
             if self.domain is TOWER:
                 raise ParseError(f"{value} is only available in the puiseux field", line, col)
@@ -154,6 +157,19 @@ class _Grammar:
             toks.expect_sym(")")
             return PuiseuxScalar((), tail)
         toks.error(f"expected a factor, found {value!r}")
+
+    def nested(self, toks: _Tokens, line: int, col: int):
+        """The scalar inside one more level of nesting, opened at (line,
+        col), up to its ")"; ParseError past MAX_NESTING levels."""
+        if self.nesting == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
+        self.nesting += 1
+        try:
+            inner = self.scalar(toks)
+        finally:
+            self.nesting -= 1
+        toks.expect_sym(")")
+        return inner
 
     def sqrt(self, x):
         """The positive root of x, and 0 for an exact 0.  A truncated zero

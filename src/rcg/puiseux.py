@@ -78,7 +78,8 @@ from .errors import (
     NotPositive,
     UnsupportedExponent,
 )
-from .tower import TowerScalar, _fmt_fraction, _join_signed, sqrt_positive as tower_sqrt
+from .tower import _QQ, TowerScalar, _fmt_fraction, _join_signed, _scalar
+from .tower import sqrt_positive as tower_sqrt
 
 F = Fraction
 
@@ -169,9 +170,8 @@ class PuiseuxScalar:
             return PuiseuxScalar._lattice_value(_ZERO_FORM, None)
         e = F(exponent)
         s = PuiseuxScalar._trusted(((e, c),), None)
-        if len(c.coeffs) == 1:
-            q = c.coeffs[0]
-            s._form = (e.denominator, (e.numerator,), (q.numerator,), q.denominator)
+        if len(c.nums) == 1:
+            s._form = (e.denominator, (e.numerator,), c.nums, c.den)
         return s
 
     @staticmethod
@@ -668,21 +668,21 @@ def _form_of(terms: tuple):
     radical (tower depth above 0)."""
     den = d = 1
     for e, c in terms:
-        if len(c.coeffs) != 1:
+        if len(c.nums) != 1:
             return False
         den = lcm(den, e.denominator)
-        d = lcm(d, c.coeffs[0].denominator)
-    # reduced Fractions over the lcms of their denominators share no factor
+        d = lcm(d, c.den)
+    # reduced pairs over the lcms of their denominators share no factor
     return (den,
             tuple(e.numerator * (den // e.denominator) for e, _ in terms),
-            tuple(c.coeffs[0].numerator * (d // c.coeffs[0].denominator) for _, c in terms),
+            tuple(c.nums[0] * (d // c.den) for _, c in terms),
             d)
 
 
 def _terms_of(form: tuple) -> tuple:
     """The public terms of a lattice form."""
     den, ks, ns, d = form
-    return tuple((F(k, den), TowerScalar.from_fraction(F(n, d))) for k, n in zip(ks, ns))
+    return tuple((F(k, den), _scalar(_QQ, (n,), d)) for k, n in zip(ks, ns))
 
 
 def _reduced(den, ks, ns, d) -> tuple:
@@ -804,7 +804,7 @@ def _rational_root_parts(form: tuple, tail, order):
     a lattice series."""
     den, ks, ns, d = form
     k0, n0 = ks[0], ns[0]
-    root0 = tower_sqrt(TowerScalar.from_fraction(F(n0, d)))
+    root0 = tower_sqrt(_scalar(_QQ, (n0,), d))
     shift = F(k0, 2 * den)
     if len(ks) == 1 and tail is None:
         return root0, PuiseuxScalar.monomial(1, shift)

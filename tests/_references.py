@@ -6,14 +6,17 @@ decided on the characters themselves, radicals and all, which
 rcg.kostant's sampler decides on their squares; and the rational kernel
 as rcg.linalg had it before integer forms, on plain Fractions: the field
 elimination and the product over rows and columns scaled to integers, with
-the rank, kernel, solve and determinant read off them."""
+the rank, kernel, solve and determinant read off them; and the tower
+scalar kernel as rcg.tower had it before integer coordinates, on tuples of
+Fractions: product, inverse, square root by denesting, the interval
+enclosure that decides signs and approximations, and printing."""
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
-from rcg.errors import DomainError, InternalError
+from rcg.errors import DivisionByZero, DomainError, InternalError
 from rcg.kostant import _char_gaps, _slack, chamber_projection
 from rcg.linalg import TOWER, Matrix, inverse, rank
 from rcg.slgroup import GroupElement, _signed_permutation, member_M
@@ -224,3 +227,209 @@ def fraction_kernel(rows):
             v[pc] = -acc / rows[pr][pc]
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# the tower scalar kernel on Fractions: coefficient-vector arithmetic
+# (tuples of Fractions, length 2**depth) over radicands given as such tuples
+
+Interval = tuple[Fraction, Fraction]
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+def _vzero(depth: int) -> tuple:
+    return (_F0,) * (1 << depth)
+
+
+def _vone(depth: int) -> tuple:
+    return (_F1,) + (_F0,) * ((1 << depth) - 1)
+
+
+def _vadd(u: tuple, v: tuple) -> tuple:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def _vsub(u: tuple, v: tuple) -> tuple:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _vneg(u: tuple) -> tuple:
+    return tuple(-a for a in u)
+
+
+def _vscale(u: tuple, q: Fraction) -> tuple:
+    if not q:
+        return (_F0,) * len(u)
+    return tuple(a * q for a in u)
+
+
+def _vmul(rads: tuple, depth: int, u: tuple, v: tuple) -> tuple:
+    if depth == 0:
+        return (u[0] * v[0],)
+    if not any(u) or not any(v):
+        return _vzero(depth)
+    h = 1 << (depth - 1)
+    a, b = u[:h], u[h:]
+    c, e = v[:h], v[h:]
+    r = rads[depth - 1]
+    b_zero = not any(b)
+    e_zero = not any(e)
+    if b_zero and e_zero:
+        return _vmul(rads, depth - 1, a, c) + _vzero(depth - 1)
+    ac = _vmul(rads, depth - 1, a, c)
+    if b_zero:
+        return ac + _vmul(rads, depth - 1, a, e)
+    if e_zero:
+        return ac + _vmul(rads, depth - 1, b, c)
+    be = _vmul(rads, depth - 1, b, e)
+    lo = _vadd(ac, _vmul(rads, depth - 1, be, r))
+    hi = _vadd(_vmul(rads, depth - 1, a, e), _vmul(rads, depth - 1, b, c))
+    return lo + hi
+
+
+def _vinv(rads: tuple, depth: int, u: tuple) -> tuple:
+    if depth == 0:
+        if not u[0]:
+            raise DivisionByZero("inverse of zero")
+        return (1 / u[0],)
+    h = 1 << (depth - 1)
+    a, b = u[:h], u[h:]
+    if not any(b):
+        return _vinv(rads, depth - 1, a) + _vzero(depth - 1)
+    r = rads[depth - 1]
+    bb = _vmul(rads, depth - 1, b, b)
+    norm = _vsub(_vmul(rads, depth - 1, a, a), _vmul(rads, depth - 1, bb, r))
+    w = _vinv(rads, depth - 1, norm)
+    return _vmul(rads, depth - 1, a, w) + _vneg(_vmul(rads, depth - 1, b, w))
+
+
+def _frac_sqrt(q: Fraction):
+    """Exact rational square root, or None."""
+    if q < 0:
+        return None
+    pn, pd = q.numerator, q.denominator
+    rn, rd = isqrt(pn), isqrt(pd)
+    if rn * rn == pn and rd * rd == pd:
+        return Fraction(rn, rd)
+    return None
+
+
+def _vsqrt(rads: tuple, depth: int, u: tuple):
+    """Square root of u inside its own tower, or None.
+
+    Classical denesting: sqrt(a + b*sqrt(r)) = x + y*sqrt(r) exists in the
+    field iff the norm a^2 - b^2*r is a square s^2 one level down and
+    (a +- s)/2 is a square x^2 there too (y = b/(2x)).
+    """
+    if depth == 0:
+        s = _frac_sqrt(u[0])
+        return None if s is None else (s,)
+    h = 1 << (depth - 1)
+    a, b = u[:h], u[h:]
+    r = rads[depth - 1]
+    if not any(b):
+        s = _vsqrt(rads, depth - 1, a)
+        if s is not None:
+            return s + _vzero(depth - 1)
+        q = _vmul(rads, depth - 1, a, _vinv(rads, depth - 1, r))
+        s = _vsqrt(rads, depth - 1, q)
+        if s is not None:
+            return _vzero(depth - 1) + s
+        return None
+    bb = _vmul(rads, depth - 1, b, b)
+    norm = _vsub(_vmul(rads, depth - 1, a, a), _vmul(rads, depth - 1, bb, r))
+    s = _vsqrt(rads, depth - 1, norm)
+    if s is None:
+        return None
+    half = Fraction(1, 2)
+    for sgn in (s, _vneg(s)):
+        xsq = _vscale(_vadd(a, sgn), half)
+        x = _vsqrt(rads, depth - 1, xsq)
+        if x is None or not any(x):
+            continue
+        y = _vscale(_vmul(rads, depth - 1, b, _vinv(rads, depth - 1, x)), half)
+        cand = x + y
+        if _vmul(rads, depth, cand, cand) == u:
+            return cand
+    return None
+
+
+# ---------------------------------------------------------------------------
+# rational interval arithmetic for approximation and sign refinement
+
+def _isqrt_lower(q: Fraction, prec_bits: int) -> Fraction:
+    n = q.numerator * q.denominator << (2 * prec_bits)
+    return Fraction(isqrt(n), q.denominator << prec_bits)
+
+
+def _isqrt_upper(q: Fraction, prec_bits: int) -> Fraction:
+    n = q.numerator * q.denominator << (2 * prec_bits)
+    return Fraction(isqrt(n) + 1, q.denominator << prec_bits)
+
+
+def _iadd(p: Interval, q: Interval) -> Interval:
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _imul(p: Interval, q: Interval) -> Interval:
+    cands = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
+    return (min(cands), max(cands))
+
+
+def _isqrt_iv(p: Interval, prec_bits: int) -> Interval:
+    lo = max(p[0], _F0)
+    return (_isqrt_lower(lo, prec_bits), _isqrt_upper(p[1], prec_bits))
+
+
+def _enclose(rads: tuple, depth: int, u: tuple, prec_bits: int) -> Interval:
+    if depth == 0:
+        return (u[0], u[0])
+    h = 1 << (depth - 1)
+    a, b = u[:h], u[h:]
+    ia = _enclose(rads, depth - 1, a, prec_bits)
+    if not any(b):
+        return ia
+    ib = _enclose(rads, depth - 1, b, prec_bits)
+    ir = _enclose(rads, depth - 1, rads[depth - 1], prec_bits)
+    return _iadd(ia, _imul(ib, _isqrt_iv(ir, prec_bits)))
+
+
+# ---------------------------------------------------------------------------
+# printing in the shared scalar grammar
+
+def _fmt_fraction(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _format(rads: tuple, depth: int, coeffs: tuple) -> str:
+    terms = []
+    for mask in range(1 << depth):
+        q = coeffs[mask]
+        if not q:
+            continue
+        radicals = []
+        for j in range(depth):
+            if mask >> j & 1:
+                inner = _format(rads[: j], j, rads[j])
+                radicals.append(f"sqrt({inner})")
+        if not radicals:
+            body = _fmt_fraction(abs(q))
+        elif abs(q) == 1:
+            body = "*".join(radicals)
+        else:
+            body = "*".join([_fmt_fraction(abs(q))] + radicals)
+        terms.append(("-" if q < 0 else "+", body))
+    return _join_signed(terms)
+
+
+def _join_signed(terms) -> str:
+    """(sign, body) pairs as one sum: "a - b + c", "-a + b"; "0" if empty."""
+    if not terms:
+        return "0"
+    first_sign, first_body = terms[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sgn, body in terms[1:]:
+        out += f" {sgn} {body}"
+    return out

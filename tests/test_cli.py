@@ -21,7 +21,7 @@ from rcg.errors import (
     ParseError,
 )
 from rcg.linalg import Matrix, PuiseuxDomain, det
-from rcg.parsing import parse_matrix, parse_scalar, print_matrix
+from rcg.parsing import MAX_NESTING, parse_matrix, parse_scalar, print_matrix
 from rcg.puiseux import PuiseuxScalar
 from rcg.slgroup import GroupElement
 from rcg.tower import TowerScalar, sqrt_positive
@@ -189,6 +189,22 @@ def test_cli_parse_error(tmp_path):
         ["bruhat"], files={"g.mat": "2, 0; 0,"}, tmp_path=tmp_path
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [["cartan"], ["--field", "puiseux", "bruhat"]],
+                         ids=["tower", "puiseux"])
+def test_cli_input_nested_past_the_limit_is_a_parse_error(tmp_path, args):
+    """500 nested parentheses or sqrt( are refused as input, not a
+    RecursionError; the limit itself still parses."""
+    for opener in ("(", "sqrt("):
+        deep = opener * 500 + "1" + ")" * 500
+        code, out, err = run_cli(args, files={"g.mat": f"{deep}, 0; 0, 1"}, tmp_path=tmp_path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"parse error: nesting deeper than {MAX_NESTING} levels")
+    at_limit = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    code, _, err = run_cli(["--field", "puiseux", "bruhat"],
+                           files={"g.mat": f"{at_limit}, 1; 0, 1"}, tmp_path=tmp_path)
+    assert code == 0, err
 
 
 def test_cli_missing_file():

@@ -203,7 +203,8 @@ def test_orbit_sample_sl3():
 def test_orbit_sample_check_raises_outside_the_hull(monkeypatch):
     b = chamber(3, 1, F(1, 3))
     outside = GroupElement.tower([[9, 0, 0], [0, 1, 0], [0, 0, F(1, 9)]])
-    monkeypatch.setattr(rcg.kostant, "a_component", lambda g: outside)
+    squares = [outside[i, i] * outside[i, i] for i in range(3)]
+    monkeypatch.setattr(rcg.kostant, "_a_squares", lambda g: squares)
     with pytest.raises(InternalError, match="convexity violation"):
         orbit_sample_check(b, 3, seed=1)
 
@@ -272,16 +273,17 @@ def test_orbit_report_is_the_radical_one(values, seed):
                         st.lists(radical_values, min_size=n - 1, max_size=n - 1),
                         st.permutations(range(n)))))
 def test_orbit_verdict_is_the_radical_one_for_any_a_component(drawn):
-    """The seam a_component returns an A-element in any order; the sampler
-    raises exactly when the characters of its chamber projection exceed
-    b's, and otherwise reports their smallest gap."""
+    """The seam _a_squares returns the squares of an A-element in any
+    order; the sampler raises exactly when the characters of its chamber
+    projection exceed b's, and otherwise reports their smallest gap."""
     a_values, b_values, order = drawn
     b = _chamber_point(b_values, TOWER)
     diag = _unit_diagonal(a_values, TOWER)
     a = GroupElement(Matrix.diagonal([diag[i] for i in order]))
     expected = _outcome(lambda: radical_orbit_point(a, b))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rcg.kostant, "a_component", lambda g: a)
+        squares = [a[i, i] * a[i, i] for i in range(len(order))]
+        patch.setattr(rcg.kostant, "_a_squares", lambda g: squares)
         got = _outcome(lambda: orbit_sample_check(b, 1, seed=0))
     if isinstance(expected, str):
         assert got == expected

@@ -1,10 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd
+from operator import add, mul, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rcg.tower
 from rcg.errors import DivisionByZero, DomainError, NotPositive
 from rcg.tower import TowerScalar, sqrt_positive
+
+from _references import _enclose, _format, _vadd, _vinv, _vmul, _vneg, _vone, _vsqrt, _vsub, _vzero
 
 F = Fraction
 ts = TowerScalar.coerce
@@ -226,3 +233,181 @@ def test_operands_of_another_type_are_left_to_them():
     for op in (lambda x: x + "a", lambda x: "a" - x, lambda x: x * "a", lambda x: x / "a"):
         with pytest.raises(TypeError):
             op(two)
+
+
+@pytest.mark.parametrize("precision", [0, -1, F(-1, 2)])
+def test_approx_needs_a_positive_precision(precision):
+    """At depth 0 and on irrational values of depths 1 and 2 alike, where
+    the refinement would never reach a width <= 0."""
+    for x in (ts(F(1, 3)), sqrt_positive(2), sqrt_positive(1 + sqrt_positive(2))):
+        with pytest.raises(DomainError, match="positive precision"):
+            x.approx(precision)
+
+
+# ---------------------------------------------------------------------------
+# integer coordinates against the Fraction kernel (_references)
+
+def _rads(t):
+    """The radicands of tower t as tuples of Fractions, the reference's
+    form."""
+    return tuple(tuple(F(n, d) for n in nums) for nums, d in t.radicands)
+
+
+def _ref_sign(rads, u):
+    if not any(u):
+        return 0
+    if not any(u[1:]):
+        return 1 if u[0] > 0 else -1
+    prec = 8
+    while True:
+        lo, hi = _enclose(rads, len(rads), u, prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+
+
+def _ref_approx(rads, u, precision):
+    if not any(u[1:]):
+        return (u[0], u[0])
+    prec = 16
+    while True:
+        lo, hi = _enclose(rads, len(rads), u, prec)
+        if hi - lo <= precision:
+            return (lo, hi)
+        prec *= 2
+
+
+def _ref_lift(x, t):
+    """x's coordinates in tower t, which holds x's tower, by the reference
+    alone: each radical of x's tower is found in t by denesting and made
+    positive by the enclosure, and x's coordinates are folded onto them."""
+    dst = _rads(t)
+    depth = len(dst)
+
+    def fold(vec, d, images):
+        if d == 0:
+            return (vec[0],) + _vzero(depth)[1:]
+        h = 1 << (d - 1)
+        hi = _vmul(dst, depth, fold(vec[h:], d - 1, images), images[d - 1])
+        return _vadd(fold(vec[:h], d - 1, images), hi)
+
+    images = []
+    for i, rad in enumerate(_rads(x.tower)):
+        root = _vsqrt(dst, depth, fold(rad, i, images))
+        assert root is not None, "the target tower does not hold the radical"
+        images.append(_vneg(root) if _ref_sign(dst, root) < 0 else root)
+    return fold(x.coeffs, x.tower.depth, images)
+
+
+def _assert_canonical(x):
+    """One integer vector over one positive denominator, in lowest terms,
+    and the radicands likewise."""
+    for nums, den in ((x.nums, x.den),) + x.tower.radicands:
+        assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+        assert all(type(n) is int for n in nums)
+    assert len(x.nums) == 1 << x.tower.depth
+
+
+def _check_unary(x):
+    """inv, sign, approx, str and sqrt_positive of x against the
+    reference on x's own coordinates."""
+    rads, u = _rads(x.tower), x.coeffs
+    _assert_canonical(x)
+    assert str(x) == _format(rads, len(rads), u)
+    assert x.sign() == _ref_sign(rads, u)
+    assert x.approx(F(1, 10**6)) == _ref_approx(rads, u, F(1, 10**6))
+    if not x.is_zero():
+        inv = x.inv()
+        _assert_canonical(inv)
+        assert inv.tower is x.tower and inv.coeffs == _vinv(rads, len(rads), u)
+    if x.sign() > 0:
+        root = sqrt_positive(x)
+        _assert_canonical(root)
+        s = _vsqrt(rads, len(rads), u)
+        if s is None:
+            assert _rads(root.tower) == rads + (u,)
+            assert root.coeffs == _vzero(len(rads)) + _vone(len(rads))
+        else:
+            assert root.tower is x.tower
+            assert root.coeffs == (_vneg(s) if _ref_sign(rads, s) < 0 else s)
+
+
+def _check_binary(x, y):
+    """x + y, x - y and x * y against the reference on both operands'
+    coordinates in the result's tower, which a merge may have built."""
+    for op, ref in ((add, _vadd), (sub, _vsub), (mul, None)):
+        r = op(x, y)
+        _assert_canonical(r)
+        t = r.tower
+        u, v = _ref_lift(x, t), _ref_lift(y, t)
+        assert r.coeffs == (ref(u, v) if ref else _vmul(_rads(t), t.depth, u, v))
+        _check_unary(r)
+
+
+#: radicals of two kinds: sqrt of a rational, and sqrt(a + b sqrt(p)),
+#: nested (two levels) or denesting to one
+_radicals = st.one_of(
+    st.sampled_from([2, 3, 5, 6, 12, F(1, 2), F(3, 5)]),
+    st.tuples(st.sampled_from([1, 3, 4]), st.sampled_from([-2, -1, 1, 2]),
+              st.sampled_from([2, 3, 5])).map(lambda abp: abp[0] + abp[1] * sqrt_positive(abp[2])),
+).map(lambda r: sqrt_positive(r if ts(r).sign() > 0 else -r))
+
+_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+#: q0 + q1 R1 + ... over towers of up to three radicals
+_scalars = st.builds(
+    lambda q0, terms: sum((q * r for q, r in terms), ts(q0)),
+    _rationals, st.lists(st.tuples(_rationals, _radicals), max_size=3),
+).filter(lambda x: x.tower.depth <= 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars, _scalars)
+def test_integer_coordinates_agree_with_the_fraction_kernel(x, y):
+    _check_unary(x)
+    _check_binary(x, y)
+
+
+def test_merges_of_towers_neither_of_which_extends_the_other_agree_with_the_fraction_kernel():
+    r2, r3, r5 = sqrt_positive(2), sqrt_positive(3), sqrt_positive(5)
+    nested = sqrt_positive(3 + r5)  # Q(sqrt 5)(sqrt(3 + sqrt 5))
+    denesting = sqrt_positive(2 + r3)  # (sqrt 6 + sqrt 2) / 2
+    pairs = [
+        (F(1, 2) - r2, r3 + F(2, 3)),
+        (r2 + r3, F(1, 3) * r5 - 1),
+        (r2 + r3, denesting),
+        (nested - r2, F(3, 4) * r3 + nested),
+        (r2 * nested, denesting - F(1, 2)),
+    ]
+    for x, y in pairs:
+        assert not x.tower.is_prefix_of(y.tower) and not y.tower.is_prefix_of(x.tower)
+        for _ in range(2):  # the second pass runs on the memoised maps
+            _check_binary(x, y)
+            _check_binary(y, x)
+
+
+class _RefusedFraction(type):
+    """Stands for Fraction in rcg.tower: isinstance tests still work, and
+    building one fails."""
+
+    def __instancecheck__(cls, x):
+        return isinstance(x, Fraction)
+
+    def __call__(cls, *args, **kwargs):
+        raise AssertionError("rcg.tower built a Fraction")
+
+
+def test_arithmetic_signs_roots_and_merges_build_no_fraction(monkeypatch):
+    r2, r3 = sqrt_positive(2), sqrt_positive(3)
+    nested = sqrt_positive(3 + 2 * r2)  # denests to 1 + sqrt 2
+    deep = sqrt_positive(1 + r2)
+    monkeypatch.setattr(rcg.tower, "Fraction", _RefusedFraction("Fraction", (), {}))
+    a = (r2 + F(1, 3)) * r3 - 2  # a merge
+    b = a.inv() / (deep + F(2, 5))  # a merge with a nested tower
+    assert a * b * (deep + F(2, 5)) == 1
+    assert (a - b).sign() == 1 and (b - a).sign() == -1 and (a - a).sign() == 0
+    assert nested == 1 + r2 and sqrt_positive(a * a) == a and a.sign() == 1
+    assert sqrt_positive(5 + 2 * sqrt_positive(6)) * sqrt_positive(5 - 2 * sqrt_positive(6)) == 1
+    assert (a ** 3 / a ** 2 - a).is_zero() and -(-b) == b
